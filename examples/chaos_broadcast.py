@@ -17,8 +17,8 @@ critical):
 Run:  python examples/chaos_broadcast.py
 """
 
-from repro.faults import (FaultPlan, run_chaos_broadcast, soak,
-                          verify_determinism)
+from repro.faults import FaultPlan, run_chaos_broadcast, soak
+from repro.scenarios import verify_determinism
 
 
 def crash_one_recipient():

@@ -9,17 +9,16 @@ Commands:
   graph, guaranteed-deadlock detection, critical-set feasibility; stable
   ``SCRnnn`` diagnostic codes, ``--json`` for deterministic JSON,
   ``--strict`` to fail on warnings, ``--figures`` for the paper corpus;
-* ``lint <file>``        — legacy communication lint (subsumed by
-  ``analyze``; kept for compatibility);
 * ``format <file>``      — pretty-print a script file (round-trippable);
 * ``demo broadcast``     — run a broadcast and print the delivery table;
 * ``demo lock``          — run the Figure 5 lock-manager workload;
 * ``demo election``      — run a ring leader election;
 * ``chaos <script>``     — soak a script under seeded fault injection
-  (``--recover`` switches to the recovery soak: crashed processes are
-  restarted with backoff and aborted performances retried; ``--kill9``
-  SIGKILLs a journaled subprocess mid-run and — with ``--resume`` —
-  proves the resumed run commits the identical rendezvous sequence;
+  (``--recover`` selects the ``recover`` scenario in every mode: crashed
+  processes are restarted with backoff and aborted performances retried;
+  ``--kill9`` SIGKILLs a journaled subprocess mid-run and — with
+  ``--resume`` — proves the resumed run commits the identical rendezvous
+  sequence;
   ``--explore`` switches to systematic fault-space exploration: fault
   schedules anchored at a probe run's injection points are generated
   under ``--budget``, each run is judged by the ``--oracle`` set, and
@@ -35,8 +34,10 @@ Commands:
   (``stats analysis`` summarizes a static-analysis run over the figures).
 
 Exit codes for the file-checking commands (``check``/``analyze``/
-``lint``/``format``): 0 clean, 1 findings, 2 usage or parse/semantic
-error.
+``format``): 0 clean, 1 findings, 2 usage or parse/semantic error.
+
+Scenario names for ``trace``/``stats``/``profile``/``chaos``/``replay``
+come from the registry in :mod:`repro.scenarios`.
 
 The CLI is a thin shell over the library; every command is available
 programmatically (see the modules referenced in each handler).
@@ -48,8 +49,7 @@ import argparse
 import sys
 
 from .errors import ScriptLangError
-from .lang import (analyze, format_program, lint_communications,
-                   parse_script)
+from .lang import analyze, format_program, parse_script
 from .lang import figures as figure_sources
 
 FIGURES = {
@@ -104,35 +104,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"{args.file}: SCRIPT {program.name} OK "
           f"({program.initiation.lower()}/{program.termination.lower()}; "
           f"roles: {', '.join(roles)})")
-    return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the (legacy) communication lint over a script file.
-
-    Subsumed by ``analyze``: the historic warning strings come from the
-    full analyzer's SCR001/SCR002 findings.  ``--json`` emits the full
-    structured report instead; ``--strict`` fails on *any* analyzer
-    finding rather than only the legacy warnings.
-    """
-    try:
-        program = _load_program(args.file)
-        analyze(program)
-    except ScriptLangError as error:
-        print(f"{args.file}: {error}", file=sys.stderr)
-        return 2
-    from .analysis import analyze_program, dump_report_json
-    report = analyze_program(program, label=args.file)
-    warnings = lint_communications(program)
-    if args.json:
-        print(dump_report_json([report]))
-    else:
-        for warning in warnings:
-            print(f"{args.file}: {warning}")
-        if not warnings:
-            print(f"{args.file}: no communication warnings")
-    if warnings or (args.strict and report.findings):
-        return 1
     return 0
 
 
@@ -250,59 +221,53 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Soak or explore a script under deterministic fault injection."""
+    from .scenarios import (DEFAULT_CHAOS, JOURNAL, RECOVER, get,
+                            verify_determinism)
+    if args.recover and args.script != DEFAULT_CHAOS:
+        print(f"chaos --recover supports only the {DEFAULT_CHAOS} script",
+              file=sys.stderr)
+        return 2
+    name = RECOVER if args.recover else args.script
     if args.describe_plan:
-        return _chaos_describe_plan(args)
+        return _chaos_describe_plan(args, name)
     if args.kill9:
-        return _chaos_kill9(args)
+        return _chaos_kill9(args, name)
+    if (args.explore or args.replay_plan) \
+            and get(name, JOURNAL).make_contract is None:
+        print(f"chaos --explore: scenario {name!r} has no exploration "
+              f"contract", file=sys.stderr)
+        return 2
     if args.replay_plan:
         return _chaos_replay_plan(args)
     if args.explore:
-        return _chaos_explore(args)
+        return _chaos_explore(args, name)
+    options = {}
     if args.recover:
-        from .recovery import recover_soak, verify_recover_determinism
-        if args.script != "broadcast":
-            print("chaos --recover supports only the broadcast script",
-                  file=sys.stderr)
-            return 2
-        options = {}
+        from .recovery import recover_soak
         if args.max_restarts is not None:
             # A forced (sub-covering) cap makes quarantine reachable;
             # report it instead of crashing mid-soak.
             options.update(max_restarts=args.max_restarts, strict=False)
         report = recover_soak(runs=args.runs, seed=args.seed, **options)
-        for line in report.lines():
-            print(line)
-        if args.trace_out:
-            _write_trace(args.trace_out, report.base_trace, args.seed)
-        if args.verify:
-            same = verify_recover_determinism(seed=args.seed, **options)
-            print(f"  determinism   seed {args.seed} replayed "
-                  f"{'identically' if same else 'DIFFERENTLY'}")
-            if not same:
-                return 1
-        if report.quarantined:
-            # Quarantine leaves a process permanently down: that is a
-            # recovery *failure*, and the soak must not exit clean.
-            print(f"  FAILED        {report.quarantined} quarantined "
-                  f"name(s) never recovered", file=sys.stderr)
-            return 1
-        return 0
-    from .faults import SCRIPTS, soak, verify_determinism
-    if args.script not in SCRIPTS:
-        print(f"unknown chaos script {args.script!r}; try: "
-              f"{', '.join(SCRIPTS)}", file=sys.stderr)
-        return 2
-    report = soak(args.script, runs=args.runs, seed=args.seed)
+    else:
+        from .faults import soak
+        report = soak(name, runs=args.runs, seed=args.seed)
     for line in report.lines():
         print(line)
     if args.trace_out:
         _write_trace(args.trace_out, report.base_trace, args.seed)
     if args.verify:
-        same = verify_determinism(args.script, seed=args.seed)
+        same = verify_determinism(name, seed=args.seed, **options)
         print(f"  determinism   seed {args.seed} replayed "
               f"{'identically' if same else 'DIFFERENTLY'}")
         if not same:
             return 1
+    if args.recover and report.quarantined:
+        # Quarantine leaves a process permanently down: that is a
+        # recovery *failure*, and the soak must not exit clean.
+        print(f"  FAILED        {report.quarantined} quarantined "
+              f"name(s) never recovered", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -321,22 +286,13 @@ def _chaos_oracles(args: argparse.Namespace) -> tuple[str, ...] | None:
     return tuple(dict.fromkeys(args.oracle))
 
 
-def _chaos_describe_plan(args: argparse.Namespace) -> int:
+def _chaos_describe_plan(args: argparse.Namespace, name: str) -> int:
     """``chaos --describe-plan``: print the seed's implied fault plan."""
-    from .faults import SCRIPTS, JournalCorruptionPlan
-    if args.recover:
-        from .recovery import recover_plan_for_seed
-        plan = recover_plan_for_seed(args.seed)
-        name = "recover (broadcast)"
-    else:
-        if args.script not in SCRIPTS:
-            print(f"unknown chaos script {args.script!r}; try: "
-                  f"{', '.join(SCRIPTS)}", file=sys.stderr)
-            return 2
-        from .faults import plan_for_seed
-        plan = plan_for_seed(args.script, args.seed)
-        name = args.script
-    print(f"fault plan: {name}, seed {args.seed}")
+    from .faults import JournalCorruptionPlan
+    from .scenarios import DEFAULT_CHAOS, JOURNAL, get
+    plan = get(name, JOURNAL).plan(args.seed)
+    label = f"{name} ({DEFAULT_CHAOS})" if args.recover else name
+    print(f"fault plan: {label}, seed {args.seed}")
     lines = plan.describe()
     for line in lines:
         print(f"  {line}")
@@ -348,19 +304,14 @@ def _chaos_describe_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_explore(args: argparse.Namespace) -> int:
+def _chaos_explore(args: argparse.Namespace, name: str) -> int:
     """``chaos --explore``: systematic fault-space search + shrinking."""
     import json
 
-    from .faults import SCRIPTS
     from .faults.explore import explore, record_exploration
     from .obs import MetricsRegistry
-    if args.script not in SCRIPTS:
-        print(f"unknown chaos script {args.script!r}; try: "
-              f"{', '.join(SCRIPTS)}", file=sys.stderr)
-        return 2
     metrics = MetricsRegistry()
-    report = explore(args.script, seed=args.seed, budget=args.budget,
+    report = explore(name, seed=args.seed, budget=args.budget,
                      oracles=_chaos_oracles(args), minimize=args.minimize)
     record_exploration(report, metrics)
     for line in report.lines():
@@ -369,7 +320,7 @@ def _chaos_explore(args: argparse.Namespace) -> int:
         _write_trace(args.trace_out, report.base_trace, args.seed)
     if report.counterexample is not None:
         ce = report.counterexample
-        out = args.plan_out or f"counterexample-{args.script}.json"
+        out = args.plan_out or f"counterexample-{name}.json"
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(json.dumps(ce.to_jsonable(), sort_keys=True,
                                     indent=2) + "\n")
@@ -394,7 +345,7 @@ def _chaos_replay_plan(args: argparse.Namespace) -> int:
     return 1 if check.reproduced else 0
 
 
-def _chaos_kill9(args: argparse.Namespace) -> int:
+def _chaos_kill9(args: argparse.Namespace, name: str) -> int:
     """``chaos --kill9``: SIGKILL a journaled subprocess, then resume."""
     import tempfile
 
@@ -408,7 +359,7 @@ def _chaos_kill9(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-kill9-") as tmp:
         work_dir = args.journal or tmp
         try:
-            report = kill9_resume(args.script, args.seed, work_dir,
+            report = kill9_resume(name, args.seed, work_dir,
                                   torn=args.torn)
         except (PersistError, ResumeMismatch) as error:
             print(f"kill9: {error}", file=sys.stderr)
@@ -453,8 +404,9 @@ def cmd_kill9_child(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run a scenario and export its span tree (Chrome trace + JSONL)."""
     from .obs import (build_spans, dump_chrome_trace, dump_spans_jsonl,
-                      run_scenario, span_tree_lines)
-    run = run_scenario(args.scenario, seed=args.seed, n=args.n)
+                      span_tree_lines)
+    from .scenarios import TRACE, get
+    run = get(args.scenario, TRACE).run(args.seed, n=args.n)
     spans = build_spans(run.scheduler.tracer.snapshot())
     out = args.out or f"trace-{args.scenario}.json"
     with open(out, "w", encoding="utf-8", newline="") as handle:
@@ -462,7 +414,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8", newline="") as handle:
             handle.write(dump_spans_jsonl(spans))
-    print(f"{run.name} (seed {args.seed}): {run.headline}")
+    print(f"{args.scenario} (seed {args.seed}): {run.headline}")
     print(f"wrote {len(spans)} spans to {out}"
           + (f" and {args.jsonl}" if args.jsonl else ""))
     print("open in Perfetto (https://ui.perfetto.dev) or chrome://tracing")
@@ -477,7 +429,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Run a scenario and print its metrics-registry summary."""
     import json
 
-    from .obs import jsonable, run_scenario
+    from .obs import jsonable
+    from .scenarios import TRACE, get
     if args.scenario == "analysis":
         from .analysis import analyze_corpus, record_analysis
         # Parameterized verification included: the registry carries the
@@ -493,12 +446,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print()
         print(registry.render_text())
         return 0
-    run = run_scenario(args.scenario, seed=args.seed, n=args.n)
+    run = get(args.scenario, TRACE).run(args.seed, n=args.n)
     if args.json:
         print(json.dumps(jsonable(run.metrics.to_dict()), sort_keys=True,
                          indent=2))
         return 0
-    print(f"{run.name} (seed {args.seed}): {run.headline}")
+    print(f"{args.scenario} (seed {args.seed}): {run.headline}")
     print()
     for line in run.metrics.summary_lines():
         print(line)
@@ -548,7 +501,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         merged = merge_chrome_events(document, report.chrome_events())
         with open(args.chrome, "w", encoding="utf-8", newline="") as handle:
             handle.write(merged)
-    print(f"{run.name} (seed {args.seed}, n {args.n}): {run.headline}")
+    print(f"{args.scenario} (seed {args.seed}, n {args.n}): "
+          f"{run.headline}")
     print()
     for line in report.summary_lines():
         print(line)
@@ -581,16 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="parse + check a script file")
     check.add_argument("file")
     check.set_defaults(handler=cmd_check)
-
-    lint = sub.add_parser("lint", help="legacy communication lint "
-                                       "(subsumed by analyze)")
-    lint.add_argument("file")
-    lint.add_argument("--strict", action="store_true",
-                      help="fail on any analyzer finding, not only the "
-                           "legacy warnings")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the full structured report as JSON")
-    lint.set_defaults(handler=cmd_lint)
 
     analyze_cmd = sub.add_parser(
         "analyze", help="full static analysis of script files")
@@ -641,10 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(handler=cmd_demo)
 
+    from .scenarios import CHAOS, DEFAULT_CHAOS, JOURNAL, TRACE, names
+
     chaos = sub.add_parser("chaos", help="chaos-soak a script under "
                                          "seeded fault injection")
-    chaos.add_argument("script", nargs="?", default="broadcast",
-                       choices=["broadcast", "lock", "chatroom"])
+    chaos.add_argument("script", nargs="?", default=DEFAULT_CHAOS,
+                       choices=names(CHAOS))
     chaos.add_argument("--runs", type=int, default=100,
                        help="number of seeded runs (default 100)")
     chaos.add_argument("--seed", type=int, default=0,
@@ -684,12 +630,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "the seed would install, plus the seed's "
                             "journal-corruption recipe, and exit")
     chaos.add_argument("--recover", action="store_true",
-                       help="recovery mode: restart crashed processes and "
-                            "retry aborted performances (broadcast only; "
-                            "default 25 runs is advisable via --runs)")
+                       help="recovery mode: use the recover scenario "
+                            "(the broadcast, with crashed processes "
+                            "restarted and aborted performances retried) "
+                            "for the soak, --verify, --describe-plan and "
+                            "--kill9; 25 runs via --runs is advisable")
     chaos.add_argument("--trace-out", default=None,
-                       help="with --recover: write the base seed's "
-                            "formatted trace to this path (CI artifact)")
+                       help="write the base seed's formatted trace to "
+                            "this path (CI artifact): the soak's first "
+                            "run, or the exploration's probe run")
     chaos.add_argument("--verify", action="store_true",
                        help="also replay the base seed twice and compare "
                             "traces")
@@ -722,8 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Hidden: the kill -9 harness's child half (dies by SIGKILL).
     child = sub.add_parser("_kill9-child")
-    child.add_argument("script",
-                       choices=["broadcast", "lock", "chatroom", "recover"])
+    child.add_argument("script", choices=names(JOURNAL))
     child.add_argument("--seed", type=int, required=True)
     child.add_argument("--journal", required=True)
     child.add_argument("--kill-after", type=int, required=True,
@@ -731,11 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
     child.add_argument("--options", default=None)
     child.set_defaults(handler=cmd_kill9_child)
 
-    from .obs.scenarios import SCENARIOS
-
     trace = sub.add_parser("trace", help="run a scenario and export its "
                                          "span tree (Chrome trace JSON)")
-    trace.add_argument("scenario", choices=SCENARIOS)
+    trace.add_argument("scenario", choices=names(TRACE))
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--n", type=int, default=5,
                        help="scenario size (recipients/stations)")
@@ -750,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="run a scenario and print its "
                                          "metrics summary")
-    stats.add_argument("scenario", choices=[*SCENARIOS, "analysis"])
+    stats.add_argument("scenario", choices=[*names(TRACE), "analysis"])
     stats.add_argument("--seed", type=int, default=0)
     stats.add_argument("--n", type=int, default=5,
                        help="scenario size (recipients/stations)")
@@ -761,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="profile a scenario's kernel hot path (phase "
                         "attribution, flamegraph, Chrome trace)")
-    profile.add_argument("scenario", nargs="?", choices=SCENARIOS,
+    profile.add_argument("scenario", nargs="?", choices=names(TRACE),
                          help="scenario to profile (omit with --diff)")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--n", type=int, default=5,

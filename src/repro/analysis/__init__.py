@@ -25,7 +25,7 @@ DESIGN.md §11).
 """
 
 from .analyzer import (analyze_corpus, analyze_program, analyze_source,
-                       figure_corpus, legacy_lint_warnings)
+                       figure_corpus)
 from .cfg import CFG, CFGNode, Prefix, PrefixOp, build_cfg, guaranteed_prefix
 from .deadlock import analyze_deadlocks, collect_prefixes
 from .diagnostics import (CATALOG, Finding, Report, Severity,
@@ -60,7 +60,6 @@ __all__ = [
     "figure_corpus",
     "guaranteed_prefix",
     "instance_label",
-    "legacy_lint_warnings",
     "record_analysis",
     "report_document",
     "role_instances",

@@ -190,37 +190,3 @@ def analyze_corpus(extra: list[tuple[str, str]] | None = None, *,
                                       parameterized=parameterized))
     return reports
 
-
-def legacy_lint_warnings(program: ast.ScriptProgram) -> list[str]:
-    """The old ``lint_communications`` strings from the new analyzer.
-
-    Unmatched-communication findings (SCR001/SCR002) are deduplicated to
-    role-name granularity and rendered in the historical message format —
-    all sends first, then all receives, each sorted by line.
-    """
-    report = analyze_program(program)
-    seen: set[tuple] = set()
-    warnings: list[str] = []
-    for finding in sorted(report.by_code("SCR001"),
-                          key=lambda f: (f.line, f.role)):
-        sender = finding.role.split("[")[0]
-        key = (finding.line, sender, finding.partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        warnings.append(
-            f"line {finding.line}: role {sender!r} sends to "
-            f"{finding.partner!r}, but {finding.partner!r} never receives "
-            f"from {sender!r} (send can never rendezvous)")
-    for finding in sorted(report.by_code("SCR002"),
-                          key=lambda f: (f.line, f.role)):
-        receiver = finding.role.split("[")[0]
-        key = (finding.line, receiver, finding.partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        warnings.append(
-            f"line {finding.line}: role {receiver!r} receives from "
-            f"{finding.partner!r}, but {finding.partner!r} never sends to "
-            f"{receiver!r} (receive can never rendezvous)")
-    return warnings

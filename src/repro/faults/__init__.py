@@ -13,7 +13,7 @@ run with a pluggable oracle set, and delta-debugs any failure down to a
 minimal, replayable counterexample.
 """
 
-from .explore import (DEFAULT_ORACLES, SCENARIOS, Counterexample,
+from .explore import (DEFAULT_ORACLES, Contract, Counterexample,
                       ExploreReport, FaultSchedule, InjectionPoint,
                       InjectionProbe, check_saved_schedule, explore,
                       record_exploration)
@@ -21,17 +21,17 @@ from .plan import (BITFLIP, CORRUPTION_MODES, CRASH, DROP, GARBAGE, HEAL,
                    KINDS, PARTITION, SLOW, TRUNCATE, FaultEvent, FaultPlan,
                    JournalCorruptionPlan)
 from .reporting import kv_lines
-from .soak import (SCRIPTS, ChaosRun, SoakReport, broadcast_plan,
-                   chatroom_plan, check_residue, lock_plan, make_chatroom,
-                   make_chaos_broadcast, plan_for_seed, run_chaos_broadcast,
-                   run_chaos_chatroom, run_chaos_lock, soak,
-                   verify_determinism)
+from .soak import (ChaosRun, SoakReport, broadcast_plan, chatroom_plan,
+                   check_residue, lock_plan, make_chatroom,
+                   make_chaos_broadcast, run_chaos_broadcast,
+                   run_chaos_chatroom, run_chaos_lock, soak)
 
 __all__ = [
     "BITFLIP",
     "CORRUPTION_MODES",
     "CRASH",
     "ChaosRun",
+    "Contract",
     "Counterexample",
     "DEFAULT_ORACLES",
     "DROP",
@@ -46,8 +46,6 @@ __all__ = [
     "JournalCorruptionPlan",
     "KINDS",
     "PARTITION",
-    "SCENARIOS",
-    "SCRIPTS",
     "SLOW",
     "TRUNCATE",
     "SoakReport",
@@ -60,11 +58,9 @@ __all__ = [
     "lock_plan",
     "make_chaos_broadcast",
     "make_chatroom",
-    "plan_for_seed",
     "record_exploration",
     "run_chaos_broadcast",
     "run_chaos_chatroom",
     "run_chaos_lock",
     "soak",
-    "verify_determinism",
 ]

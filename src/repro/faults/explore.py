@@ -45,6 +45,7 @@ by test.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -60,7 +61,6 @@ from ..persist.resume import resume
 from ..runtime import EventKind, Scheduler, Sink, TeeSink
 from .plan import CORRUPTION_MODES, FaultPlan, JournalCorruptionPlan
 from .reporting import kv_lines
-from .soak import run_chaos_broadcast, run_chaos_chatroom, run_chaos_lock
 
 #: Injection-point kinds, in the order the probe reports them.
 POINT_COMMIT = "commit"
@@ -151,13 +151,15 @@ class InjectionProbe(Sink):
 
 
 # ---------------------------------------------------------------------------
-# Scenario adapters: what the explorer may legally do to each scenario
+# Fault contracts: what the explorer may legally do to a scenario
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class Scenario:
-    """Exploration contract of one chaos scenario.
+class Contract:
+    """Exploration contract of one chaos scenario at one sizing.
 
+    :mod:`repro.scenarios` derives one per run from the runner's sizing
+    options, so only processes and links that exist are ever targeted.
     ``crash_after`` maps a process to the earliest *strict* crash time:
     plan timers are installed before any process spawns, so at equal
     timestamps a crash fires before the victim's own timer — a crash at
@@ -169,8 +171,6 @@ class Scenario:
     roles are written to absorb them.
     """
 
-    name: str
-    runner: Callable[..., Any]
     processes: tuple[Hashable, ...]
     critical: frozenset
     links: tuple[tuple[Hashable, Hashable], ...]
@@ -180,32 +180,15 @@ class Scenario:
     horizon: float
 
 
-SCENARIOS: dict[str, Scenario] = {
-    "broadcast": Scenario(
-        name="broadcast", runner=run_chaos_broadcast,
-        processes=("S",) + tuple(("R", i) for i in range(1, 5)),
-        critical=frozenset({"S"}),
-        links=tuple(("hub", ("leaf", i)) for i in range(1, 5)),
-        crash_after={"S": 3.0},  # the enroll window: no pre-seal sender kill
-        heal_required=True, transport_faults=True, horizon=30.0),
-    "lock": Scenario(
-        name="lock", runner=run_chaos_lock,
-        processes=tuple(("client", i) for i in range(1, 5)),
-        critical=frozenset(),
-        # Managers hold the lock tables and must outlive the run; no link
-        # or transport faults either — the lock protocol has no retry
-        # story, which is the scenario's documented contract.
-        links=(), crash_after={}, heal_required=True,
-        transport_faults=False, horizon=12.0),
-    "chatroom": Scenario(
-        name="chatroom", runner=run_chaos_chatroom,
-        processes=("H",) + tuple(("M", i) for i in range(1, 5)),
-        critical=frozenset({"H"}),
-        links=tuple(("hub", ("leaf", i)) for i in range(1, 5)),
-        crash_after={"H": 3.0},  # the join window
-        heal_required=False,  # members depart on timeout; no heal needed
-        transport_faults=True, horizon=40.0),
-}
+def _bind(scenario: str, options: dict[str, Any]
+          ) -> tuple[Callable[..., Any], Contract]:
+    """``scenario``'s runner with ``options`` bound, and its contract."""
+    from ..scenarios import JOURNAL, get
+    entry = get(scenario, JOURNAL, ChaosInvariantError)
+    if entry.make_contract is None:
+        raise ChaosInvariantError(
+            f"scenario {scenario!r} has no exploration contract")
+    return functools.partial(entry.run, **options), entry.contract(**options)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +230,7 @@ class FaultSchedule:
                         if corruption is not None else None))
 
 
-def _candidate_singles(scenario: Scenario,
+def _candidate_singles(contract: Contract,
                        points: list[InjectionPoint]
                        ) -> dict[tuple[str, str], list[FaultSchedule]]:
     """Single-fault candidates anchored at the probe's points, grouped
@@ -261,13 +244,13 @@ def _candidate_singles(scenario: Scenario,
         groups.setdefault((family, key), []).append(
             FaultSchedule(family=family, plan=plan))
 
-    for process in scenario.processes:
-        floor = scenario.crash_after.get(process, 0.0)
+    for process in contract.processes:
+        floor = contract.crash_after.get(process, 0.0)
         for t in times:
             if t > floor:
                 add("crash", repr(process), FaultPlan().crash(t, process))
-    spans = (1.0, max(2.5, scenario.horizon / 8.0))
-    for a, b in scenario.links:
+    spans = (1.0, max(2.5, contract.horizon / 8.0))
+    for a, b in contract.links:
         key = repr((a, b))
         for t in times:
             if t <= 0:
@@ -276,9 +259,9 @@ def _candidate_singles(scenario: Scenario,
                 add("partition", key,
                     FaultPlan().partition(t, a, b,
                                           heal_at=round(t + span, 3)))
-            if not scenario.heal_required:
+            if not contract.heal_required:
                 add("partition", key, FaultPlan().partition(t, a, b))
-    if scenario.transport_faults:
+    if contract.transport_faults:
         for t in timer_times:
             add("slow", "window",
                 FaultPlan().slow(t, 4.0, until=round(t + 2.0, 3)))
@@ -287,7 +270,7 @@ def _candidate_singles(scenario: Scenario,
     return groups
 
 
-def _frontier(scenario: Scenario, points: list[InjectionPoint],
+def _frontier(contract: Contract, points: list[InjectionPoint],
               rng: random.Random, budget: int,
               include_corruption: bool) -> Iterator[FaultSchedule]:
     """Seeded, stratified, endless candidate stream.
@@ -297,7 +280,7 @@ def _frontier(scenario: Scenario, points: list[InjectionPoint],
     schedules are always reached — then the corruption grid, then
     endless seeded depth-2/3 composites drawn from the singles pool.
     """
-    groups = _candidate_singles(scenario, points)
+    groups = _candidate_singles(contract, points)
     buckets: list[list[FaultSchedule]] = []
     for key in sorted(groups):
         bucket = list(groups[key])
@@ -347,7 +330,8 @@ class RunOutcome:
     runs: int = 0                      # scenario executions this cost
 
 
-def _registry_for(scenario: Scenario) -> dict[str, Callable[..., Any]]:
+def _registry_for(scenario: str, runner: Callable[..., Any]
+                  ) -> dict[str, Callable[..., Any]]:
     """A resume registry whose runner decodes the journaled fault plan.
 
     The recorder stores the plan in the journal header's ``options`` as
@@ -358,14 +342,14 @@ def _registry_for(scenario: Scenario) -> dict[str, Callable[..., Any]]:
                 **options: Any) -> Any:
         if plan is not None and not isinstance(plan, FaultPlan):
             plan = FaultPlan.from_jsonable(plan)
-        return scenario.runner(seed, plan=plan, journal=journal, **options)
-    return {scenario.name: wrapper}
+        return runner(seed, plan=plan, journal=journal, **options)
+    return {scenario: wrapper}
 
 
-def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
-                     *, replay: bool, workdir: str | None,
-                     tag: str) -> RunOutcome:
-    """Run ``schedule`` against ``scenario`` at ``seed``.
+def execute_schedule(scenario: str, runner: Callable[..., Any], seed: int,
+                     schedule: FaultSchedule, *, replay: bool,
+                     workdir: str | None, tag: str) -> RunOutcome:
+    """Run ``schedule`` against ``scenario`` (via ``runner``) at ``seed``.
 
     Plan schedules run the scenario under the plan — journaled when the
     replay oracle is active, followed by a full resume.  Corruption
@@ -375,11 +359,11 @@ def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
     outcome = RunOutcome(schedule=schedule)
     if schedule.corruption is not None:
         path = os.path.join(workdir, f"{tag}.journal")
-        recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
+        recorder = JournalRecorder(path, seed=seed, scenario=scenario,
                                    options={"plan":
                                             FaultPlan().to_jsonable()})
         try:
-            outcome.run = scenario.runner(seed, plan=FaultPlan(),
+            outcome.run = runner(seed, plan=FaultPlan(),
                                           journal=recorder)
         except ReproError as err:
             recorder.close()
@@ -393,23 +377,23 @@ def execute_schedule(scenario: Scenario, seed: int, schedule: FaultSchedule,
         if not replay:
             outcome.runs = 1
             try:
-                outcome.run = scenario.runner(seed, plan=plan)
+                outcome.run = runner(seed, plan=plan)
             except ReproError as err:
                 outcome.error = err
             return outcome
         path = os.path.join(workdir, f"{tag}.journal")
-        recorder = JournalRecorder(path, seed=seed, scenario=scenario.name,
+        recorder = JournalRecorder(path, seed=seed, scenario=scenario,
                                    options={"plan": plan.to_jsonable()})
         outcome.runs = 1
         try:
-            outcome.run = scenario.runner(seed, plan=plan, journal=recorder)
+            outcome.run = runner(seed, plan=plan, journal=recorder)
         except ReproError as err:
             recorder.close()
             outcome.error = err
             return outcome
     try:
-        outcome.resume_report = resume(path,
-                                       registry=_registry_for(scenario))
+        outcome.resume_report = resume(
+            path, registry=_registry_for(scenario, runner))
     except ReproError as err:
         outcome.resume_error = err
     outcome.runs += 1
@@ -426,7 +410,7 @@ def _owner_of(error: ReproError) -> str:
     return "convergence"
 
 
-def evaluate(scenario: Scenario, outcome: RunOutcome,
+def evaluate(contract: Contract, outcome: RunOutcome,
              oracles: tuple[str, ...]) -> list[tuple[str, str]]:
     """Judge one execution; ``(oracle, detail)`` per violated oracle.
 
@@ -442,8 +426,8 @@ def evaluate(scenario: Scenario, outcome: RunOutcome,
         failures.append((owner, str(outcome.error)))
     run = outcome.run
     if ("abort" in oracles and run is not None
-            and run.outcome == "aborted" and scenario.critical
-            and not any(name in scenario.critical for name in run.killed)):
+            and run.outcome == "aborted" and contract.critical
+            and not any(name in contract.critical for name in run.killed)):
         failures.append(("abort",
                          f"aborted without a critical-process kill "
                          f"(killed: {run.killed!r})"))
@@ -465,8 +449,9 @@ def evaluate(scenario: Scenario, outcome: RunOutcome,
 # Phase 4: delta-debugging shrink
 # ---------------------------------------------------------------------------
 
-def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
-           oracle: str, oracles: tuple[str, ...], *, replay: bool,
+def shrink(scenario: str, runner: Callable[..., Any], contract: Contract,
+           seed: int, schedule: FaultSchedule, oracle: str,
+           oracles: tuple[str, ...], *, replay: bool,
            workdir: str | None) -> tuple[FaultSchedule, str, int]:
     """Minimize ``schedule`` while the same oracle keeps failing.
 
@@ -483,10 +468,11 @@ def shrink(scenario: Scenario, seed: int, schedule: FaultSchedule,
 
     def still_fails(candidate: FaultSchedule) -> bool:
         nonlocal runs, last_detail
-        outcome = execute_schedule(scenario, seed, candidate, replay=replay,
-                                   workdir=workdir, tag=f"shrink-{runs}")
+        outcome = execute_schedule(scenario, runner, seed, candidate,
+                                   replay=replay, workdir=workdir,
+                                   tag=f"shrink-{runs}")
         runs += outcome.runs
-        for name, detail in evaluate(scenario, outcome, oracles):
+        for name, detail in evaluate(contract, outcome, oracles):
             if name == oracle:
                 last_detail = detail
                 return True
@@ -634,7 +620,7 @@ def record_exploration(report: ExploreReport,
 # The explorer
 # ---------------------------------------------------------------------------
 
-def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
+def explore(scenario: str, seed: int = 0, budget: int = 100,
             oracles: tuple[str, ...] | None = None, minimize: bool = True,
             workdir: str | None = None,
             metrics: MetricsRegistry | None = None,
@@ -644,15 +630,10 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
     Runs the probe, then up to ``budget`` candidate schedules, stopping
     at the first oracle violation (shrunk to a locally minimal
     counterexample when ``minimize``).  ``options`` forward to the
-    scenario runner (sizing knobs).  Deterministic: same arguments, same
-    report.
+    scenario runner (sizing knobs) and size its contract.  Deterministic:
+    same arguments, same report.
     """
-    try:
-        sc = SCENARIOS[scenario]
-    except KeyError:
-        raise ChaosInvariantError(
-            f"unknown exploration scenario {scenario!r}; choose from "
-            f"{tuple(SCENARIOS)}") from None
+    runner, contract = _bind(scenario, options)
     oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
     for name in oracle_names:
         if name not in DEFAULT_ORACLES:
@@ -663,14 +644,14 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
                            oracles=oracle_names)
 
     probe = InjectionProbe()
-    base = sc.runner(seed, plan=FaultPlan(), journal=probe, **options)
+    base = runner(seed, plan=FaultPlan(), journal=probe)
     report.runs += 1
     report.base_trace = base.trace
     report.frames = probe.frames
     report.points = Counter(point.kind for point in probe.points)
 
     rng = random.Random(seed)
-    frontier = _frontier(sc, probe.points, rng, budget,
+    frontier = _frontier(contract, probe.points, rng, budget,
                          include_corruption=replay)
     cleanup: tempfile.TemporaryDirectory | None = None
     if replay and workdir is None:
@@ -678,13 +659,14 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
         workdir = cleanup.name
     try:
         for index, schedule in enumerate(itertools.islice(frontier, budget)):
-            outcome = execute_schedule(sc, seed, schedule, replay=replay,
-                                       workdir=workdir, tag=f"run-{index}")
+            outcome = execute_schedule(scenario, runner, seed, schedule,
+                                       replay=replay, workdir=workdir,
+                                       tag=f"run-{index}")
             report.runs += outcome.runs
             report.schedules += 1
             report.families[schedule.family] += 1
             description = "; ".join(schedule.describe())
-            failures = evaluate(sc, outcome, oracle_names)
+            failures = evaluate(contract, outcome, oracle_names)
             if not failures:
                 report.verdicts["pass"] += 1
                 report.schedule_log.append(f"#{index} {description} -> pass")
@@ -699,8 +681,8 @@ def explore(scenario: str = "broadcast", seed: int = 0, budget: int = 100,
             minimized, shrink_runs = schedule, 0
             if minimize:
                 minimized, shrunk_detail, shrink_runs = shrink(
-                    sc, seed, schedule, oracle, oracle_names,
-                    replay=replay, workdir=workdir)
+                    scenario, runner, contract, seed, schedule, oracle,
+                    oracle_names, replay=replay, workdir=workdir)
                 if shrunk_detail:
                     detail = shrunk_detail
             report.shrink_runs = shrink_runs
@@ -762,18 +744,16 @@ def check_saved_schedule(path: str,
     if not isinstance(data, dict):
         raise ChaosInvariantError(f"{path}: not a counterexample file")
     scenario_name = data.get("scenario")
-    if scenario_name not in SCENARIOS:
-        raise ChaosInvariantError(
-            f"{path}: unknown scenario {scenario_name!r}")
-    sc = SCENARIOS[scenario_name]
+    runner, contract = _bind(scenario_name, {})
     seed = data.get("seed", 0)
     schedule = FaultSchedule.from_jsonable(data.get("schedule", {}))
     oracle_names = tuple(oracles) if oracles else DEFAULT_ORACLES
     replay = ("replay" in oracle_names
               or schedule.corruption is not None)
     with tempfile.TemporaryDirectory(prefix="repro-replay-") as workdir:
-        outcome = execute_schedule(sc, seed, schedule, replay=replay,
-                                   workdir=workdir, tag="replay")
-        failures = evaluate(sc, outcome, oracle_names)
+        outcome = execute_schedule(scenario_name, runner, seed, schedule,
+                                   replay=replay, workdir=workdir,
+                                   tag="replay")
+        failures = evaluate(contract, outcome, oracle_names)
     return ReplayCheck(scenario=scenario_name, seed=seed, schedule=schedule,
                        failures=failures)

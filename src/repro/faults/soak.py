@@ -20,8 +20,9 @@ must stem from a sender crash.  Violations raise
 :class:`~repro.errors.ChaosInvariantError` naming the seed, so a soak
 failure is a one-seed reproduction recipe.
 
-Determinism is checked separately by :func:`verify_determinism`: the same
-seed must produce a byte-identical formatted trace, faults included.
+Determinism is checked separately by
+:func:`repro.scenarios.verify_determinism`: the same seed must produce a
+byte-identical formatted trace, faults included.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .plan import FaultPlan
 from .reporting import kv_lines
 
 Body = Generator[Any, Any, Any]
-
-SCRIPTS = ("broadcast", "lock", "chatroom")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +144,8 @@ def make_chatroom(max_members: int = 4, join_window: float = 3.0,
 
 
 # ---------------------------------------------------------------------------
-# Seed-derived fault plans (shared by the runners, `plan_for_seed`, and
-# the --describe-plan CLI: one draw sequence, two consumers)
+# Seed-derived fault plans (shared by the runners and
+# `repro.scenarios.Scenario.plan`: one draw sequence, two consumers)
 # ---------------------------------------------------------------------------
 
 def broadcast_plan(rng: random.Random, n: int = 4,
@@ -231,30 +230,6 @@ def chatroom_plan(rng: random.Random, n: int = 4,
         plan.drop(start, rng.randint(1, 3),
                   until=round(start + rng.uniform(1.0, 5.0), 3))
     return plan
-
-
-def plan_for_seed(script: str, seed: int, **options: Any) -> FaultPlan:
-    """The fault plan a plan-less run of ``script`` at ``seed`` installs.
-
-    Replays exactly the runner's RNG draw sequence (the generators above
-    run first against a fresh ``random.Random(seed)`` in every runner),
-    so ``plan_for_seed(s, seed).describe() == run(seed).faults`` — pinned
-    by test.  ``options`` accepts the runner's sizing keywords.
-    """
-    rng = random.Random(seed)
-    if script == "broadcast":
-        return broadcast_plan(rng, n=options.get("n", 4),
-                              enroll_window=options.get("enroll_window", 3.0),
-                              horizon=options.get("horizon", 30.0))
-    if script == "lock":
-        return lock_plan(rng, clients=options.get("clients", 4),
-                         horizon=options.get("horizon", 12.0))
-    if script == "chatroom":
-        return chatroom_plan(rng, n=options.get("n", 4),
-                             join_window=options.get("join_window", 3.0),
-                             horizon=options.get("horizon", 40.0))
-    raise ChaosInvariantError(
-        f"unknown chaos script {script!r}; choose from {SCRIPTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +423,7 @@ def run_chaos_lock(seed: int, k: int = 3, clients: int = 4,
     rng = random.Random(seed)
     # The plan is drawn before the client staggers so that a fresh
     # ``random.Random(seed)`` reproduces it: the contract behind
-    # :func:`plan_for_seed` and the ``--describe-plan`` CLI.
+    # :meth:`repro.scenarios.Scenario.plan` and ``--describe-plan``.
     if plan is None:
         plan = lock_plan(rng, clients, horizon)
 
@@ -655,10 +630,6 @@ def run_chaos_chatroom(seed: int, n: int = 4, rounds: int = 4,
 # The soak loop
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {"broadcast": run_chaos_broadcast, "lock": run_chaos_lock,
-            "chatroom": run_chaos_chatroom}
-
-
 @dataclasses.dataclass(slots=True)
 class SoakReport:
     """Aggregate of a whole soak (one seed per run, seeds consecutive)."""
@@ -691,20 +662,15 @@ class SoakReport:
             ])
 
 
-def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
+def soak(script: str, runs: int = 100, seed: int = 0,
          **options: Any) -> SoakReport:
     """Run ``runs`` chaos runs with consecutive seeds; raise on any residue.
 
-    ``options`` are forwarded to the per-run function
-    (:func:`run_chaos_broadcast` / :func:`run_chaos_lock` /
-    :func:`run_chaos_chatroom`).
+    ``options`` are forwarded to the script's runner in
+    :mod:`repro.scenarios`.
     """
-    try:
-        runner = _RUNNERS[script]
-    except KeyError:
-        raise ChaosInvariantError(
-            f"unknown chaos script {script!r}; choose from {SCRIPTS}"
-        ) from None
+    from ..scenarios import CHAOS, get
+    runner = get(script, CHAOS, ChaosInvariantError).run
     report = SoakReport(script=script, runs=runs, base_seed=seed,
                         outcomes=Counter())
     for offset in range(runs):
@@ -718,11 +684,3 @@ def soak(script: str = "broadcast", runs: int = 100, seed: int = 0,
         report.faults += len(run.faults)
     return report
 
-
-def verify_determinism(script: str = "broadcast", seed: int = 0,
-                       **options: Any) -> bool:
-    """Run one seed twice; True iff the formatted traces are identical."""
-    runner = _RUNNERS[script]
-    first = runner(seed, **options)
-    second = runner(seed, **options)
-    return first.trace == second.trace

@@ -15,7 +15,8 @@ Three parts:
 * :mod:`~repro.obs.metrics` — a counter/gauge/histogram registry plus
   :class:`RuntimeMetrics`, the standard scheduler/transport sink;
 * :mod:`~repro.obs.scenarios` — instrumented demo workloads behind the
-  ``python -m repro trace`` and ``python -m repro stats`` commands.
+  ``python -m repro trace`` and ``python -m repro stats`` commands (named
+  by the registry in :mod:`repro.scenarios`).
 """
 
 from .export import (dump_chrome_trace, dump_spans_jsonl, jsonable,
@@ -25,7 +26,7 @@ from .metrics import (BYTE_BUCKETS, DEFAULT_BUCKETS, Counter, Gauge, Histogram,
                       MetricsRegistry, RuntimeMetrics)
 from .profile import (PHASES, ProfileReport, Profiler, diff_attributions,
                       profile_scenario, tick_clock)
-from .scenarios import SCENARIOS, ScenarioRun, run_scenario
+from .scenarios import ScenarioRun
 from .spans import Span, build_spans, span_tree_lines
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "ProfileReport",
     "Profiler",
     "RuntimeMetrics",
-    "SCENARIOS",
     "ScenarioRun",
     "Span",
     "build_spans",
@@ -50,7 +50,6 @@ __all__ = [
     "load_spans_jsonl",
     "merge_chrome_events",
     "profile_scenario",
-    "run_scenario",
     "span_to_dict",
     "span_tree_lines",
     "tick_clock",

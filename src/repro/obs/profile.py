@@ -434,7 +434,7 @@ def profile_scenario(name: str, seed: int = 0, n: int = 5,
     :class:`ProfileReport`.  ``deterministic`` swaps the phase clock for
     :func:`tick_clock`, making every export byte-stable.
     """
-    from .scenarios import run_scenario
+    from ..scenarios import TRACE, get
     profiler = Profiler(clock=tick_clock() if deterministic else None)
-    run = run_scenario(name, seed=seed, n=n, profiler=profiler)
+    run = get(name, TRACE).run(seed, n=n, profiler=profiler)
     return run, profiler.report(scenario=name, seed=seed, n=n)

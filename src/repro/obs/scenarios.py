@@ -1,9 +1,10 @@
-"""Instrumented demo scenarios for the ``trace`` and ``stats`` commands.
+"""Instrumented demo runners behind ``trace``, ``stats`` and ``profile``.
 
-Each scenario builds a fully deterministic workload — seeded scheduler,
-placement-aware network transport (so spans have real virtual-time width),
-an attached :class:`~repro.obs.metrics.RuntimeMetrics` sink — runs it, and
-returns everything the CLI needs.  The scenarios deliberately reuse the
+:mod:`repro.scenarios` names them.  Each runner builds a fully
+deterministic workload — seeded scheduler, placement-aware network
+transport (so spans have real virtual-time width), an attached
+:class:`~repro.obs.metrics.RuntimeMetrics` sink — runs it, and returns
+everything the CLI needs.  The scenarios deliberately reuse the
 same script library the demos and benchmarks exercise; the only difference
 is the instrumentation and the explicit, counter-free instance names that
 keep same-seed exports byte-identical.
@@ -21,15 +22,10 @@ from .metrics import RuntimeMetrics
 
 Body = Generator[Any, Any, Any]
 
-#: Scenario names accepted by ``python -m repro trace|stats``.
-SCENARIOS = ("demo-broadcast", "demo-lock", "demo-election")
-
-
 @dataclasses.dataclass(slots=True)
 class ScenarioRun:
     """One instrumented scenario execution."""
 
-    name: str
     seed: int
     scheduler: Scheduler
     metrics: RuntimeMetrics
@@ -50,7 +46,8 @@ def _instrument(scheduler: Scheduler, transport: Any,
     return metrics
 
 
-def _run_broadcast(seed: int, n: int, profiler: Any = None) -> ScenarioRun:
+def run_demo_broadcast(seed: int, n: int = 5,
+                       profiler: Any = None) -> ScenarioRun:
     """Star broadcast, two performances, unit-latency star network."""
     from ..scripts import make_broadcast
     from ..scripts.broadcast import data_param_name, sender_role_name
@@ -84,11 +81,11 @@ def _run_broadcast(seed: int, n: int, profiler: Any = None) -> ScenarioRun:
     headline = (f"star broadcast to {n} recipients, {rounds} performances, "
                 f"{transport.stats.messages} messages, "
                 f"t={result.time:g}")
-    return ScenarioRun("demo-broadcast", seed, scheduler, metrics, result,
-                       headline)
+    return ScenarioRun(seed, scheduler, metrics, result, headline)
 
 
-def _run_lock(seed: int, n: int, profiler: Any = None) -> ScenarioRun:
+def run_demo_lock(seed: int, n: int = 5,
+                  profiler: Any = None) -> ScenarioRun:
     """The Figure 5 lock-manager workload on a complete unit-latency net."""
     from ..scripts import ONE_READ_ALL_WRITE, ReplicatedLockService
 
@@ -123,12 +120,11 @@ def _run_lock(seed: int, n: int, profiler: Any = None) -> ScenarioRun:
     statuses = ", ".join(result.results["driver"])
     headline = (f"lock manager (k={k}): {len(ops)} operations -> {statuses}; "
                 f"t={result.time:g}")
-    return ScenarioRun("demo-lock", seed, scheduler, metrics, result,
-                       headline)
+    return ScenarioRun(seed, scheduler, metrics, result, headline)
 
 
-def _run_election(seed: int, n: int,
-                  profiler: Any = None) -> ScenarioRun:
+def run_demo_election(seed: int, n: int = 5,
+                      profiler: Any = None) -> ScenarioRun:
     """Ring leader election over a unit-latency ring network."""
     from ..scripts import make_ring_election
 
@@ -155,26 +151,4 @@ def _run_election(seed: int, n: int,
     leaders = {result.results[("S", i)] for i in range(1, n + 1)}
     headline = (f"ring election over ids {ids}: leader(s) {sorted(leaders)}, "
                 f"t={result.time:g}")
-    return ScenarioRun("demo-election", seed, scheduler, metrics, result,
-                       headline)
-
-
-_RUNNERS = {"demo-broadcast": _run_broadcast,
-            "demo-lock": _run_lock,
-            "demo-election": _run_election}
-
-
-def run_scenario(name: str, seed: int = 0, n: int = 5,
-                 profiler: Any = None) -> ScenarioRun:
-    """Run one named scenario with instrumentation attached.
-
-    ``profiler`` (a :class:`~repro.obs.profile.Profiler`) is attached on
-    top of the scenario's metrics sink when given; it observes only, so
-    the run's trace is identical either way.
-    """
-    try:
-        runner = _RUNNERS[name]
-    except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"choose from {SCENARIOS}") from None
-    return runner(seed, n, profiler)
+    return ScenarioRun(seed, scheduler, metrics, result, headline)

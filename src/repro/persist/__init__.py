@@ -30,8 +30,7 @@ from .journal import (DECISION, END, EVENT, HEADER, MAGIC, SNAPSHOT,
                       read_journal)
 from .record import (FORMAT_VERSION, SNAPSHOT_EVERY, FrameSink,
                      JournalRecorder, header_record)
-from .resume import (ReplayValidator, ResumeReport, commit_summary, resume,
-                     scenario_registry)
+from .resume import ReplayValidator, ResumeReport, commit_summary, resume
 
 __all__ = [
     "COMPLETED_BEFORE_KILL",
@@ -58,6 +57,5 @@ __all__ = [
     "record_run",
     "resume",
     "run_kill9_child",
-    "scenario_registry",
     "tear_tail",
 ]

@@ -35,7 +35,7 @@ from typing import Any
 from ..errors import PersistError
 from .journal import read_journal
 from .record import SNAPSHOT_EVERY, JournalRecorder
-from .resume import ResumeReport, commit_summary, resume, scenario_registry
+from .resume import ResumeReport, commit_summary, resume
 
 #: Child exit code meaning "the run finished before the kill point fired".
 COMPLETED_BEFORE_KILL = 3
@@ -54,11 +54,8 @@ def record_run(scenario: str, seed: int, path: str | os.PathLike, *,
     the kill point (the ``_kill9-child`` CLI verb is a thin shell over
     exactly this).
     """
-    runners = scenario_registry()
-    runner = runners.get(scenario)
-    if runner is None:
-        raise PersistError(f"unknown scenario {scenario!r} "
-                           f"(known: {', '.join(sorted(runners))})")
+    from ..scenarios import JOURNAL, get  # on demand, as in resume()
+    runner = get(scenario, JOURNAL, PersistError).run
     recorder = JournalRecorder(
         path, seed=seed, scenario=scenario, options=options,
         snapshot_every=snapshot_every, fsync_every=fsync_every,

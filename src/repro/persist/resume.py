@@ -36,20 +36,6 @@ from .journal import JournalDocument, read_journal
 from .record import FORMAT_VERSION, FrameSink
 
 
-def scenario_registry() -> dict[str, Callable[..., Any]]:
-    """The scenarios a journal header may name, resolved lazily.
-
-    Imported on demand so :mod:`repro.persist` stays importable from the
-    fault/recovery layers without a cycle.
-    """
-    from ..faults.soak import (run_chaos_broadcast, run_chaos_chatroom,
-                               run_chaos_lock)
-    from ..recovery.soak import run_recover_broadcast
-    return {"broadcast": run_chaos_broadcast, "lock": run_chaos_lock,
-            "chatroom": run_chaos_chatroom,
-            "recover": run_recover_broadcast}
-
-
 def commit_summary(frames: list[dict[str, Any]]) -> list[tuple[int, str]]:
     """``(trace seq, process)`` for every committed rendezvous, in order.
 
@@ -171,16 +157,21 @@ def resume(path: str | os.PathLike, *, expect_seed: int | None = None,
     conflicts with expectations or the replay diverges from any recorded
     frame.  A torn tail is tolerated (the crash case); an intact journal
     of a *completed* run simply validates end to end with zero fresh
-    frames.
+    frames.  ``registry`` maps scenario names to runners; it defaults to
+    the journaled scenarios of :mod:`repro.scenarios`.
     """
     doc = read_journal(path)
     seed, scenario, options, snapshot_every = _check_header(
         doc, expect_seed=expect_seed, expect_scenario=expect_scenario)
-    runners = registry if registry is not None else scenario_registry()
-    runner = runners.get(scenario)
+    if registry is None:
+        # Imported on demand: the registry imports the fault and recovery
+        # layers, which import this package.
+        from ..scenarios import JOURNAL, runners
+        registry = runners(JOURNAL)
+    runner = registry.get(scenario)
     if runner is None:
         raise ResumeMismatch(f"journal names unknown scenario {scenario!r} "
-                             f"(known: {', '.join(sorted(runners))})")
+                             f"(known: {', '.join(sorted(registry))})")
     validator = ReplayValidator(doc.frames, snapshot_every=snapshot_every)
     run = runner(seed, journal=validator, **options)
     if not validator.finished:

@@ -31,9 +31,8 @@ yields a byte-identical formatted trace, recovery included.
 
 from .policy import BackoffSchedule, RestartPolicy
 from .retry import PerformanceRetry
-from .soak import (RecoverReport, RecoveryRun, recover_plan,
-                   recover_plan_for_seed, recover_soak,
-                   run_recover_broadcast, verify_recover_determinism)
+from .soak import (RecoverReport, RecoveryRun, recover_plan, recover_soak,
+                   run_recover_broadcast)
 
 __all__ = [
     "BackoffSchedule",
@@ -42,8 +41,6 @@ __all__ = [
     "RecoveryRun",
     "RecoverReport",
     "recover_plan",
-    "recover_plan_for_seed",
     "run_recover_broadcast",
     "recover_soak",
-    "verify_recover_determinism",
 ]

@@ -17,8 +17,8 @@ predicate as a backstop and is proven separately by unit tests.
 
 Everything stays deterministic: the plan, the backoff jitter, and every
 recovery decision derive from the run's seed, so
-:func:`verify_recover_determinism` can demand byte-identical formatted
-traces — RECOVERY events included.
+:func:`repro.scenarios.verify_determinism` can demand byte-identical
+formatted traces — RECOVERY events included.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ def recover_plan(rng: random.Random, n: int = 3,
         plan.drop(start, rng.randint(1, 3),
                   until=round(start + rng.uniform(1.0, 4.0), 3))
     return plan, sender_crashes
-
-
-def recover_plan_for_seed(seed: int, **options: Any) -> FaultPlan:
-    """The plan ``run_recover_broadcast(seed)`` installs (for
-    ``--describe-plan``); options accept the runner's sizing keywords."""
-    plan, _ = recover_plan(random.Random(seed),
-                           n=options.get("n", 3),
-                           enroll_window=options.get("enroll_window", 2.0),
-                           horizon=options.get("horizon", 40.0))
-    return plan
 
 
 @dataclasses.dataclass(slots=True)
@@ -330,9 +320,3 @@ def recover_soak(runs: int = 25, seed: int = 0,
             report.base_trace = run.trace
     return report
 
-
-def verify_recover_determinism(seed: int = 0, **options: Any) -> bool:
-    """Run one seed twice; True iff the formatted traces are identical."""
-    first = run_recover_broadcast(seed, **options)
-    second = run_recover_broadcast(seed, **options)
-    return first.trace == second.trace

@@ -9,7 +9,8 @@ import pytest
 
 from repro.errors import ChaosInvariantError
 from repro.faults import (FaultPlan, run_chaos_broadcast, run_chaos_lock,
-                          soak, verify_determinism)
+                          soak)
+from repro.scenarios import verify_determinism
 
 
 def test_broadcast_soak_hundred_seeds():

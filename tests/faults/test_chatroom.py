@@ -2,8 +2,8 @@
 
 from collections import Counter
 
-from repro.faults import (FaultPlan, plan_for_seed, run_chaos_chatroom,
-                          soak, verify_determinism)
+from repro.faults import FaultPlan, run_chaos_chatroom, soak
+from repro.scenarios import CHAOS, get, verify_determinism
 
 
 def test_chatroom_fault_free_run_delivers_all_rounds():
@@ -70,5 +70,5 @@ def test_chatroom_unhealed_partition_converges():
 
 def test_chatroom_plan_for_seed_matches_the_runner():
     for seed in (0, 7, 19):
-        assert (plan_for_seed("chatroom", seed).describe()
+        assert (get("chatroom", CHAOS).plan(seed).describe()
                 == run_chaos_chatroom(seed).faults)

@@ -1,17 +1,23 @@
 """Fault-space exploration: probe, frontier, oracles, shrinking, replay."""
 
+import itertools
 import json
+import random
 
 import pytest
 
 import repro.core.supervision as supervision
-from repro.faults.explore import (DEFAULT_ORACLES, SCENARIOS,
-                                  FaultSchedule, InjectionProbe,
+from repro.faults.explore import (DEFAULT_ORACLES, FaultSchedule,
+                                  InjectionProbe, _frontier,
                                   check_saved_schedule, explore,
                                   record_exploration)
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CRASH, HEAL, PARTITION, FaultPlan
 from repro.faults.soak import run_chaos_broadcast
 from repro.obs import MetricsRegistry
+from repro.scenarios import JOURNAL, SCENARIOS, get
+
+EXPLORABLE = sorted(entry.name for entry in SCENARIOS
+                    if entry.make_contract is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +72,7 @@ def test_different_seed_explores_a_different_frontier():
 # All oracles green on the unmodified runtime
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", EXPLORABLE)
 def test_explorer_green_on_unmodified_runtime(scenario):
     report = explore(scenario, seed=0, budget=12)
     assert report.ok
@@ -76,6 +82,39 @@ def test_explorer_green_on_unmodified_runtime(scenario):
     assert report.verdicts.get("fail", 0) == 0
     # The replay oracle doubles every journaled run.
     assert report.runs > report.schedules
+
+
+# The contract follows the run's sizing: at n=3 (or clients=3) no
+# candidate may target a process or link the run does not have.
+SMALL = {"broadcast": {"n": 3}, "lock": {"clients": 3},
+         "chatroom": {"n": 3}}
+
+
+@pytest.mark.parametrize("scenario", EXPLORABLE)
+def test_candidates_stay_inside_a_smaller_run(scenario):
+    entry = get(scenario, JOURNAL)
+    contract = entry.contract(**SMALL[scenario])
+    probe = InjectionProbe()
+    run = entry.run(0, plan=FaultPlan(), journal=probe, **SMALL[scenario])
+    processes = set(run.results) | set(run.killed)
+    links = {("hub", ("leaf", i)) for i in range(1, 4)}
+    assert set(contract.processes) <= processes
+    assert set(contract.links) <= links
+    frontier = _frontier(contract, probe.points, random.Random(0),
+                         budget=200, include_corruption=False)
+    for schedule in itertools.islice(frontier, 200):
+        for event in schedule.plan.events:
+            if event.kind == CRASH:
+                assert event.target in processes, schedule.describe()
+            elif event.kind in (PARTITION, HEAL):
+                assert event.target in links, schedule.describe()
+
+
+def test_explore_runs_at_the_requested_size():
+    report = explore("broadcast", seed=0, budget=8, n=3)
+    assert report.ok
+    assert all("leaf', 4" not in line and "'R', 4" not in line
+               for line in report.schedule_log)
 
 
 def test_deselecting_the_replay_oracle_skips_journaled_runs():

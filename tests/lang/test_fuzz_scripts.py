@@ -11,7 +11,8 @@ invariants hold.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang import compile_script, lint_communications, parse_script
+from repro.analysis import analyze_program
+from repro.lang import compile_script, parse_script
 from repro.runtime import Scheduler
 from repro.verification import check_all
 
@@ -71,7 +72,7 @@ def test_generated_relay_scripts_deliver_everywhere(tree, seed):
     n, parents = tree
     source = build_source(n, parents)
     program = parse_script(source)
-    assert lint_communications(program) == []
+    assert analyze_program(program).by_code("SCR001", "SCR002") == []
     script = compile_script(source)
 
     scheduler = Scheduler(seed=seed)

@@ -1,13 +1,15 @@
-"""Tests for the static communication lint."""
+"""Communication lint: the analyzer's unmatched-rendezvous findings.
 
-from repro.lang import (communication_edges, lint_communications,
-                        parse_script)
+SCR001 flags a send that can never rendezvous, SCR002 a receive.
+"""
+
+from repro.analysis import analyze_source
 from repro.lang.figures import (FIGURE3_STAR_BROADCAST,
                                 FIGURE4_PIPELINE_BROADCAST, FIGURE5_DATABASE)
 
 
 def lint(source):
-    return lint_communications(parse_script(source))
+    return analyze_source(source).by_code("SCR001", "SCR002")
 
 
 def test_all_shipped_figures_are_clean():
@@ -28,8 +30,8 @@ SCRIPT s;
 END s;
 """)
     assert len(warnings) == 1
-    assert "never receives" in warnings[0]
-    assert "'a'" in warnings[0] and "'b'" in warnings[0]
+    assert warnings[0].code == "SCR001"
+    assert warnings[0].role == "a" and warnings[0].partner == "b"
 
 
 def test_orphan_receive_flagged():
@@ -45,7 +47,8 @@ SCRIPT s;
 END s;
 """)
     assert len(warnings) == 1
-    assert "never sends" in warnings[0]
+    assert warnings[0].code == "SCR002"
+    assert warnings[0].role == "a" and warnings[0].partner == "b"
 
 
 def test_matched_pair_not_flagged():
@@ -82,7 +85,7 @@ END s;
 """)
     # Only the a -> c send is unmatched.
     assert len(warnings) == 1
-    assert "'c'" in warnings[0]
+    assert warnings[0].code == "SCR001" and warnings[0].partner == "c"
 
 
 def test_comm_in_guard_position_is_seen():
@@ -117,6 +120,8 @@ END s;
 
 
 def test_communication_edges_structure():
+    from repro.analysis import collect_sites
+    from repro.lang import analyze, parse_script
     program = parse_script("""
 SCRIPT s;
   ROLE a (x : item);
@@ -125,9 +130,10 @@ SCRIPT s;
   BEGIN RECEIVE y FROM a END b;
 END s;
 """)
-    sends, receives = communication_edges(program)
-    assert {(e.sender, e.receiver) for e in sends} == {("a", "b")}
-    assert {(e.sender, e.receiver) for e in receives} == {("a", "b")}
+    sites = collect_sites(program, analyze(program))
+    # Both ends of the one a -> b communication, oriented by owner.
+    assert {(site.owner[0], site.kind, site.partner_role)
+            for site in sites} == {("a", "send", "b"), ("b", "recv", "a")}
 
 
 def test_warnings_report_line_numbers():
@@ -141,4 +147,4 @@ SCRIPT s;
   BEGIN SKIP END b;
 END s;
 """)
-    assert warnings[0].startswith("line 5:")
+    assert warnings[0].line == 5

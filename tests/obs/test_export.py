@@ -3,12 +3,13 @@
 import json
 
 from repro.obs import (build_spans, dump_chrome_trace, dump_spans_jsonl,
-                       jsonable, load_spans_jsonl, run_scenario,
-                       span_to_dict, to_chrome_trace)
+                       jsonable, load_spans_jsonl, span_to_dict,
+                       to_chrome_trace)
+from repro.scenarios import TRACE, get
 
 
 def scenario_spans(name="demo-broadcast", seed=0, n=3):
-    run = run_scenario(name, seed=seed, n=n)
+    run = get(name, TRACE).run(seed, n=n)
     return build_spans(run.scheduler.tracer.snapshot())
 
 

@@ -86,17 +86,16 @@ def test_profiled_trace_is_byte_identical_to_unprofiled():
 
 
 def test_profiled_scenario_trace_matches_unprofiled():
-    from repro.obs import run_scenario
-    plain = run_scenario("demo-election", seed=5, n=4)
-    profiled = run_scenario("demo-election", seed=5, n=4,
-                            profiler=Profiler())
+    from repro.obs.scenarios import run_demo_election
+    plain = run_demo_election(5, n=4)
+    profiled = run_demo_election(5, n=4, profiler=Profiler())
     assert (format_trace(profiled.scheduler.tracer)
             == format_trace(plain.scheduler.tracer))
 
 
 def test_attach_tees_on_existing_sink():
-    from repro.obs import run_scenario
-    run = run_scenario("demo-broadcast", seed=0, n=5, profiler=Profiler())
+    from repro.obs.scenarios import run_demo_broadcast
+    run = run_demo_broadcast(0, n=5, profiler=Profiler())
     # The metrics sink underneath still saw the run.
     assert run.metrics.to_dict()["metrics"]["comms_total"]["value"] > 0
     assert isinstance(run.scheduler.sink, TeeSink)

@@ -2,7 +2,8 @@
 
 from repro.faults import FaultPlan
 from repro.net import NetworkTransport, star
-from repro.obs import RuntimeMetrics, run_scenario
+from repro.obs import RuntimeMetrics
+from repro.obs.scenarios import run_demo_lock
 from repro.runtime import NULL_SINK, Scheduler
 from repro.runtime.instrument import NullSink
 from repro.scripts import make_star_broadcast
@@ -100,7 +101,7 @@ def test_replay_recovers_event_derived_metrics():
 
 
 def test_scenarios_expose_required_metrics():
-    run = run_scenario("demo-lock", seed=0)
+    run = run_demo_lock(0)
     registry = run.metrics.registry
     assert "rendezvous_match_latency" in registry
     assert registry.histogram("performance_duration").count > 0

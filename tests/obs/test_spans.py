@@ -1,8 +1,9 @@
 """Tests for span-tree derivation from trace event streams."""
 
 from repro.faults import FaultPlan
-from repro.obs import build_spans, run_scenario, span_tree_lines
+from repro.obs import build_spans, span_tree_lines
 from repro.runtime import Scheduler
+from repro.scenarios import TRACE, get, names
 from repro.scripts import make_star_broadcast
 
 
@@ -123,8 +124,8 @@ def test_crash_and_abort_are_visible_in_spans():
 
 
 def test_scenarios_produce_nested_trees():
-    for name in ("demo-broadcast", "demo-lock", "demo-election"):
-        run = run_scenario(name, seed=1, n=4)
+    for name in names(TRACE):
+        run = get(name, TRACE).run(1, n=4)
         spans = build_spans(run.scheduler.tracer.snapshot())
         index = spans_by_kind(spans)
         assert index["performance"], name

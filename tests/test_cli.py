@@ -80,11 +80,14 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+# The communication lint is the analyzer's SCR001/SCR002 findings: an
+# unmatched send or receive is a warning, so --strict fails on it.
+
 def test_lint_clean_file(tmp_path, capsys):
     path = tmp_path / "bc.script"
     path.write_text(FIGURE3_STAR_BROADCAST)
-    assert main(["lint", str(path)]) == 0
-    assert "no communication warnings" in capsys.readouterr().out
+    assert main(["analyze", "--strict", str(path)]) == 0
+    assert f"{path}: clean" in capsys.readouterr().out
 
 
 def test_lint_flags_orphan_send(tmp_path, capsys):
@@ -92,8 +95,10 @@ def test_lint_flags_orphan_send(tmp_path, capsys):
     path.write_text(
         "SCRIPT s; ROLE a (x : item); BEGIN SEND x TO b END a; "
         "ROLE b (); BEGIN SKIP END b; END s;")
-    assert main(["lint", str(path)]) == 1
-    assert "never receives" in capsys.readouterr().out
+    assert main(["analyze", "--strict", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "SCR001" in out
+    assert "send can never rendezvous" in out
 
 
 ORDER_DEADLOCK = """SCRIPT order_deadlock;
@@ -196,32 +201,38 @@ def test_analyze_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_lint_parse_error_exits_2(tmp_path, capsys):
+    # A parse error is a usage error under --strict too, not a finding.
     path = tmp_path / "bad.script"
     path.write_text("SCRIPT ; nonsense")
-    assert main(["lint", str(path)]) == 2
-    assert "expected" in capsys.readouterr().err
+    assert main(["analyze", "--strict", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "expected" in captured.err
+    assert "clean" not in captured.out
 
 
 def test_lint_strict_catches_analyzer_findings(tmp_path, capsys):
-    # The order deadlock has no name-level lint warnings, so plain lint
-    # passes; --strict surfaces the analyzer's verdict.
+    # The order deadlock has no unmatched communication at all, yet the
+    # analyzer still fails it.
     path = tmp_path / "dl.script"
     path.write_text(ORDER_DEADLOCK)
-    assert main(["lint", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--strict", str(path)]) == 1
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "SCR005" in out
+    assert "SCR001" not in out and "SCR002" not in out
 
 
 def test_lint_json_emits_full_report(tmp_path, capsys):
     import json
 
-    path = tmp_path / "dl.script"
-    path.write_text(ORDER_DEADLOCK)
-    assert main(["lint", "--json", str(path)]) == 0
+    path = tmp_path / "orphan.script"
+    path.write_text(
+        "SCRIPT s; ROLE a (); VAR v : item; BEGIN RECEIVE v FROM b END a; "
+        "ROLE b (); BEGIN SKIP END b; END s;")
+    assert main(["analyze", "--json", str(path)]) == 1   # a blocks forever
     document = json.loads(capsys.readouterr().out)
-    codes = [finding["code"]
-             for finding in document["reports"][0]["findings"]]
-    assert "SCR005" in codes
+    findings = document["reports"][0]["findings"]
+    assert [(f["code"], f["role"], f["partner"]) for f in findings
+            if f["code"] in ("SCR001", "SCR002")] == [("SCR002", "a", "b")]
 
 
 def test_stats_analysis_summarizes_run(capsys):
@@ -321,6 +332,23 @@ def test_chaos_kill9_resume_roundtrip(tmp_path, capsys):
     assert (tmp_path / "crash-broadcast-0.jrnl").exists()
 
 
+def test_chaos_recover_kill9_journals_the_recover_scenario(tmp_path, capsys):
+    assert main(["chaos", "--recover", "--kill9", "--resume", "--torn",
+                 "--seed", "0", "--journal", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kill9: recover seed 0" in out
+    assert "identical to oracle" in out
+    assert (tmp_path / "crash-recover-0.jrnl").exists()
+    assert not (tmp_path / "crash-broadcast-0.jrnl").exists()
+
+
+def test_chaos_recover_explore_is_a_usage_error(capsys):
+    assert main(["chaos", "--recover", "--explore", "--budget", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "'recover' has no exploration contract" in captured.err
+    assert "fault exploration" not in captured.out
+
+
 def test_chaos_chatroom_soak(capsys):
     assert main(["chaos", "chatroom", "--runs", "5", "--verify"]) == 0
     out = capsys.readouterr().out
@@ -344,8 +372,8 @@ def test_chaos_describe_plan(capsys):
     assert "fault plan: chatroom, seed 7" in out
     assert "journal" in out                       # corruption recipe too
     # The printed plan is exactly what a plan-less run installs.
-    from repro.faults import plan_for_seed
-    for line in plan_for_seed("chatroom", 7).describe():
+    from repro.scenarios import CHAOS, get
+    for line in get("chatroom", CHAOS).plan(7).describe():
         assert line in out
 
 
