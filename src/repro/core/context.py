@@ -140,7 +140,7 @@ class RoleContext:
         yield WaitUntil(
             lambda: role_id in performance.filled
             or performance.is_absent(role_id),
-            f"role {role_id!r} filled or absent")
+            f"role {role_id!r} filled or absent", on=performance)
 
     def _sender_role(self, sender_alias: Any) -> RoleId | None:
         if isinstance(sender_alias, RoleAddress):

@@ -15,6 +15,13 @@ enforces the paper's lifecycle rules:
 * **successive activations** — a new performance forms only after the
   current one has ended (Figures 1 and 2).
 
+The coordinator is also *incremental*: the pool keeps per-critical-set
+candidate counts, so delayed initiation runs the matcher only once some
+critical set has a candidate for each of its items, and every wait on
+coordinator state (assignment, role filled or absent, performance ended)
+is a keyed ``WaitUntil`` that the coordinator wakes with
+``Scheduler.notify`` when — and only when — it changes that state.
+
 Design note: the coordinator is *passive* — plain data manipulated from
 within the enrolling processes' own steps, not an extra process.  The paper
 criticises central-administrator implementations for "generating additional
@@ -31,7 +38,8 @@ from typing import Any, Generator, Hashable, Mapping
 from ..errors import PerformanceError
 from ..runtime import DropAlias, EventKind, GetName, Scheduler, WaitUntil
 from .context import RoleContext
-from .enrollment import (EnrollmentRequest, RequestState, normalize_partners)
+from .enrollment import (EnrollmentPool, EnrollmentRequest, RequestState,
+                         normalize_partners)
 from .matching import consistent_extension, solve
 from .params import bind_formals, copy_back, validate_actuals
 from .performance import Performance
@@ -82,7 +90,7 @@ class ScriptInstance:
         if seal_policy not in (SealPolicy.EAGER, SealPolicy.MANUAL):
             raise PerformanceError(f"unknown seal policy {seal_policy!r}")
         self.seal_policy = seal_policy
-        self.pool: list[EnrollmentRequest] = []
+        self.pool = EnrollmentPool()
         self.current: Performance | None = None
         self.performances: list[Performance] = []
         self._perf_seq = itertools.count(1)
@@ -94,8 +102,8 @@ class ScriptInstance:
                    script=script.name,
                    initiation=script.initiation.value,
                    termination=script.termination.value,
-                   critical_sets=[sorted(s, key=repr)
-                                  for s in script.critical_sets])
+                   critical_sets=[list(order)
+                                  for order in script.critical_orders])
 
     # ------------------------------------------------------------------
     # Public API
@@ -130,7 +138,8 @@ class ScriptInstance:
         self._submit(request)
         if withdraw_when is None:
             yield WaitUntil(lambda: request.assigned,
-                            f"enrollment in {self.name} as {role!r}")
+                            f"enrollment in {self.name} as {role!r}",
+                            on=request)
         else:
             yield WaitUntil(lambda: request.assigned or withdraw_when(),
                             f"enrollment in {self.name} as {role!r} "
@@ -148,14 +157,14 @@ class ScriptInstance:
         self._role_finished(performance, role_id, process)
         if self.script.termination is Termination.DELAYED:
             yield WaitUntil(lambda: performance.ended,
-                            f"delayed termination of {performance.id}")
+                            f"delayed termination of {performance.id}",
+                            on=performance)
         yield DropAlias(performance.address(role_id))
         return copy_back(declaration.params, bound, actuals)
 
     def _withdraw(self, request: EnrollmentRequest) -> None:
         request.state = RequestState.WITHDRAWN
-        if request in self.pool:
-            self.pool.remove(request)
+        self.pool.discard(request)
         self._emit(EventKind.ENROLL_REQUEST, request.process,
                    role=request.role_id, seq=request.seq, withdrawn=True)
 
@@ -213,7 +222,7 @@ class ScriptInstance:
                    partners={k: sorted(v, key=repr)
                              for k, v in request.partners.items()},
                    seq=request.seq)
-        self.pool.append(request)
+        self.pool.add(request)
         self._progress()
 
     def _progress(self) -> None:
@@ -236,13 +245,15 @@ class ScriptInstance:
     # -- delayed initiation -------------------------------------------------
 
     def _try_activate_delayed(self) -> None:
-        open_families = self.script.open_families
+        script = self.script
+        if not self.pool.could_cover(script.coverage):
+            return  # solve would find some critical item with no candidate
+        open_families = script.open_families
         assignment = solve(
-            self.pool, self.script.critical_sets,
-            self.script.closed_families,
+            self.pool, script.critical_sets, script.closed_families,
             {name: fam.min_count for name, fam in open_families.items()},
             {name: fam.max_count for name, fam in open_families.items()},
-            self.script.closed_role_ids)
+            script.closed_role_ids)
         if assignment is None:
             return
         performance = Performance(self.name, next(self._perf_seq))
@@ -272,7 +283,7 @@ class ScriptInstance:
                    performance=performance.id, binding={})
 
     def _join_pending(self, performance: Performance) -> None:
-        for request in sorted(self.pool, key=lambda r: r.seq):
+        for request in list(self.pool):  # arrival order is seq order
             if performance.sealed:
                 break
             role_id = self._resolve_target(performance, request)
@@ -316,7 +327,7 @@ class ScriptInstance:
         request.state = RequestState.ASSIGNED
         request.performance = performance
         request.assigned_role = role_id
-        performance.filled[role_id] = request
+        performance.fill(role_id, request)
         # A vacated-then-refilled role (pre-seal crash, new enrollee — e.g.
         # a supervised restart) is no longer crashed: its address is live
         # again and must not poison later absent-fallback dead sets.
@@ -327,9 +338,12 @@ class ScriptInstance:
         self.scheduler.add_alias(request.process, performance.address(role_id))
         self._emit(EventKind.ENROLL_ACCEPT, request.process, role=role_id,
                    performance=performance.id, seq=request.seq)
+        self.scheduler.notify(request)
+        self.scheduler.notify(performance)
 
     def _seal(self, performance: Performance) -> None:
         performance.sealed = True
+        self.scheduler.notify(performance)
 
     def _critical_covered(self, performance: Performance) -> bool:
         open_families = self.script.open_families
@@ -350,7 +364,7 @@ class ScriptInstance:
 
     def _role_finished(self, performance: Performance, role_id: RoleId,
                        process: Hashable) -> None:
-        performance.done.add(role_id)
+        performance.finish(role_id)
         self._emit(EventKind.ROLE_END, process, role=role_id,
                    performance=performance.id)
         self._check_ended(performance)
@@ -359,6 +373,7 @@ class ScriptInstance:
         if (performance.sealed and not performance.ended
                 and performance.all_filled_done):
             performance.ended = True
+            self.scheduler.notify(performance)
             self._emit(EventKind.PERFORMANCE_END, None,
                        performance=performance.id,
                        filled=sorted(performance.filled, key=repr))

@@ -24,11 +24,20 @@ Two entry points:
 * :func:`consistent_extension` — incremental matching for immediate
   initiation: may ``request`` join a partially-filled performance without
   violating any already-accepted request's constraints?
+
+Most requests name no partners, and a request without partner constraints
+accepts every binding, so each consistency check visits only the
+already-bound requests that *do* carry constraints (plus every bound
+request when the candidate itself carries some).  :class:`Coverage` is the
+candidate-count half of :func:`solve`'s feasibility test, precomputed per
+script so an enrollment pool can tell, without searching, that no critical
+set can be covered yet.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .enrollment import EnrollmentRequest
@@ -86,6 +95,24 @@ def _pairwise_consistent(existing: Iterable[tuple[RoleId, EnrollmentRequest]],
     return True
 
 
+def _admits(bound: Iterable[tuple[RoleId, EnrollmentRequest]],
+            constrained: Iterable[tuple[RoleId, EnrollmentRequest]],
+            role_id: RoleId, request: EnrollmentRequest) -> bool:
+    """:func:`_pairwise_consistent`, visiting only constraint carriers.
+
+    ``bound`` is every accepted (role, request) pair and ``constrained``
+    the pairs among them whose request names partners.  An unconstrained
+    candidate can only be refused by a constrained bound request.
+    """
+    if request.partners:
+        return _pairwise_consistent(bound, role_id, request)
+    process = request.process
+    for _, bound_request in constrained:
+        if not bound_request.accepts_binding(role_id, process):
+            return False
+    return True
+
+
 def consistent_extension(filled: Mapping[RoleId, EnrollmentRequest],
                          role_id: RoleId,
                          request: EnrollmentRequest,
@@ -101,7 +128,8 @@ def consistent_extension(filled: Mapping[RoleId, EnrollmentRequest],
     if not allow_same_process:
         if any(r.process == request.process for r in filled.values()):
             return False
-    return _pairwise_consistent(filled.items(), role_id, request)
+    constrained = (pair for pair in filled.items() if pair[1].partners)
+    return _admits(filled.items(), constrained, role_id, request)
 
 
 def slot_candidates(pool: Sequence[EnrollmentRequest],
@@ -109,49 +137,86 @@ def slot_candidates(pool: Sequence[EnrollmentRequest],
     """Pending requests that could fill concrete role ``role_id``.
 
     A request naming the family without an index ("any free index") is a
-    candidate for every member of that family.
+    candidate for every member of that family.  Candidates come in
+    arrival (``seq``) order.
     """
+    return _candidates(_by_target(pool), role_id)
+
+
+def _by_target(pool: Sequence[EnrollmentRequest]
+               ) -> dict[RoleId, list[EnrollmentRequest]]:
+    """The pool grouped by requested role id, each group in pool order."""
+    groups: dict[RoleId, list[EnrollmentRequest]] = {}
+    for request in pool:
+        group = groups.get(request.role_id)
+        if group is None:
+            groups[request.role_id] = [request]
+        else:
+            group.append(request)
+    return groups
+
+
+def _candidates(groups: Mapping[RoleId, list[EnrollmentRequest]],
+                role_id: RoleId) -> list[EnrollmentRequest]:
+    """:func:`slot_candidates`, read from a :func:`_by_target` grouping."""
+    exact = groups.get(role_id, [])
     family = family_of(role_id)
-    return [r for r in pool
-            if r.role_id == role_id
-            or (family is not None and r.role_id == family)]
+    bare = groups.get(family, []) if family is not None else []
+    if not bare:
+        return exact
+    if not exact:
+        return bare
+    return sorted(exact + bare, key=attrgetter("seq"))
 
 
-def _family_candidates(pool: Sequence[EnrollmentRequest],
-                       family: str) -> list[EnrollmentRequest]:
-    """Pending requests targeting open family ``family`` (bare name)."""
-    return [r for r in pool if r.role_id == family]
-
-
-def _search(slots: list[tuple[RoleId | None, list[EnrollmentRequest]]],
-            chosen: list[EnrollmentRequest],
-            chosen_roles: list[RoleId],
-            used: set[Hashable]) -> bool:
-    """Backtracking over the slot list; fills ``chosen`` on success.
+class _Search:
+    """Backtracking over the slot list (state of one :func:`solve` try).
 
     A slot is ``(concrete_role_id, candidates)`` or ``(None, candidates)``
     for an anonymous open-family slot, whose effective role id (for
     constraint checking) is the candidate's family name.
     """
-    if not slots:
-        return True
-    role_id, candidates = slots[0]
-    for candidate in candidates:
-        if any(candidate is c for c in chosen) or candidate.process in used:
-            continue
-        effective_role = role_id if role_id is not None else candidate.role_id
-        if not _pairwise_consistent(zip(chosen_roles, chosen),
-                                    effective_role, candidate):
-            continue
-        chosen.append(candidate)
-        chosen_roles.append(effective_role)
-        used.add(candidate.process)
-        if _search(slots[1:], chosen, chosen_roles, used):
+
+    __slots__ = ("slots", "chosen", "chosen_roles", "picked", "used",
+                 "constrained")
+
+    def __init__(self, slots: list[tuple[RoleId | None,
+                                         list[EnrollmentRequest]]]):
+        self.slots = slots
+        self.chosen: list[EnrollmentRequest] = []
+        self.chosen_roles: list[RoleId] = []
+        self.picked: set[EnrollmentRequest] = set()
+        self.used: set[Hashable] = set()
+        self.constrained: list[tuple[RoleId, EnrollmentRequest]] = []
+
+    def run(self, depth: int = 0) -> bool:
+        """Fill slots ``depth`` onwards; True with ``chosen`` on success."""
+        if depth == len(self.slots):
             return True
-        chosen.pop()
-        chosen_roles.pop()
-        used.remove(candidate.process)
-    return False
+        role_id, candidates = self.slots[depth]
+        for candidate in candidates:
+            if candidate in self.picked or candidate.process in self.used:
+                continue
+            effective_role = (role_id if role_id is not None
+                              else candidate.role_id)
+            if not _admits(zip(self.chosen_roles, self.chosen),
+                           self.constrained, effective_role, candidate):
+                continue
+            self.chosen.append(candidate)
+            self.chosen_roles.append(effective_role)
+            self.picked.add(candidate)
+            self.used.add(candidate.process)
+            if candidate.partners:
+                self.constrained.append((effective_role, candidate))
+            if self.run(depth + 1):
+                return True
+            self.chosen.pop()
+            self.chosen_roles.pop()
+            self.picked.remove(candidate)
+            self.used.remove(candidate.process)
+            if candidate.partners:
+                self.constrained.pop()
+        return False
 
 
 def solve(pool: Sequence[EnrollmentRequest],
@@ -168,21 +233,22 @@ def solve(pool: Sequence[EnrollmentRequest],
     fairness the paper attributes to Ada).  The base assignment is then
     greedily extended with every remaining compatible request.
     """
-    pool = sorted(pool, key=lambda r: r.seq)
+    pool = sorted(pool, key=attrgetter("seq"))
+    groups = _by_target(pool)
     for critical in critical_sets:
         slots: list[tuple[RoleId | None, list[EnrollmentRequest]]] = []
         feasible = True
         for item in sorted(critical, key=repr):
             if isinstance(item, str) and item in open_family_min:
                 needed = open_family_min[item]
-                candidates = _family_candidates(pool, item)
+                candidates = groups.get(item, [])
                 if len(candidates) < needed:
                     feasible = False
                     break
                 for _ in range(needed):
                     slots.append((None, candidates))
             else:
-                candidates = slot_candidates(pool, item)
+                candidates = _candidates(groups, item)
                 if not candidates:
                     feasible = False
                     break
@@ -190,14 +256,12 @@ def solve(pool: Sequence[EnrollmentRequest],
         if not feasible:
             continue
 
-        chosen: list[EnrollmentRequest] = []
-        chosen_roles: list[RoleId] = []
-        used: set[Hashable] = set()
-        if not _search(slots, chosen, chosen_roles, used):
+        search = _Search(slots)
+        if not search.run():
             continue
 
         assignment = Assignment(bindings={}, family_members={})
-        for role_id, request in zip(chosen_roles, chosen):
+        for role_id, request in zip(search.chosen_roles, search.chosen):
             if role_id in open_family_min:
                 assignment.family_members.setdefault(role_id, []).append(request)
             else:
@@ -224,11 +288,21 @@ def _extend_greedily(assignment: Assignment,
                      open_family_max: Mapping[str, int | None],
                      closed_role_ids: frozenset[RoleId]) -> None:
     """Add every remaining compatible request, in arrival order."""
-    taken = {id(r) for r in assignment.all_requests()}
+    bound = assignment.pairs()
+    taken = {request for _, request in bound}
+    processes = {request.process for _, request in bound}
+    constrained = [(role, request) for role, request in bound
+                   if request.partners]
+
+    def take(role_id: RoleId, request: EnrollmentRequest) -> None:
+        bound.append((role_id, request))
+        taken.add(request)
+        processes.add(request.process)
+        if request.partners:
+            constrained.append((role_id, request))
+
     for request in pool:
-        if id(request) in taken:
-            continue
-        if request.process in assignment.processes():
+        if request in taken or request.process in processes:
             continue
         target = request.role_id
 
@@ -237,10 +311,10 @@ def _extend_greedily(assignment: Assignment,
             limit = open_family_max.get(target)
             if limit is not None and len(members) >= limit:
                 continue
-            if not _pairwise_consistent(assignment.pairs(), target, request):
+            if not _admits(bound, constrained, target, request):
                 continue
             members.append(request)
-            taken.add(id(request))
+            take(target, request)
             continue
 
         if isinstance(target, str) and target in closed_families:
@@ -252,7 +326,60 @@ def _extend_greedily(assignment: Assignment,
 
         if target in assignment.bindings or target not in closed_role_ids:
             continue
-        if not _pairwise_consistent(assignment.pairs(), target, request):
+        if not _admits(bound, constrained, target, request):
             continue
         assignment.bindings[target] = request
-        taken.add(id(request))
+        take(target, request)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class Coverage:
+    """The candidate counts :func:`solve` demands, precomputed per script.
+
+    :func:`solve` skips a critical set unless each of its items has at
+    least ``need[item]`` pending candidates: one for a concrete role id,
+    ``min_count`` for an open family's name.  A pool that keeps these
+    counts can therefore rule ``solve`` out without calling it.
+    ``covers[target]`` lists the items a request for ``target`` is a
+    candidate for (a concrete member is also filled by its family's bare
+    name); ``sets_of[item]`` the indices of the critical sets holding
+    ``item``; ``size[s]`` how many items of set ``s`` need any candidate
+    (items needing none are left out of every table).
+    """
+
+    need: Mapping[CriticalItem, int]
+    covers: Mapping[RoleId, tuple[CriticalItem, ...]]
+    sets_of: Mapping[CriticalItem, tuple[int, ...]]
+    size: tuple[int, ...]
+
+    @classmethod
+    def of(cls, critical_sets: Sequence[frozenset[CriticalItem]],
+           open_family_min: Mapping[str, int]) -> "Coverage":
+        """The coverage tables of ``critical_sets``, read as :func:`solve`
+        reads them."""
+        need: dict[CriticalItem, int] = {}
+        covers: dict[RoleId, list[CriticalItem]] = {}
+        sets_of: dict[CriticalItem, list[int]] = {}
+        size: list[int] = []
+        for index, critical in enumerate(critical_sets):
+            count = 0
+            for item in critical:
+                if isinstance(item, str) and item in open_family_min:
+                    wanted, targets = open_family_min[item], (item,)
+                else:
+                    family = family_of(item)
+                    wanted = 1
+                    targets = (item,) if family is None else (item, family)
+                if wanted <= 0:
+                    continue
+                count += 1
+                sets_of.setdefault(item, []).append(index)
+                if item not in need:
+                    need[item] = wanted
+                    for target in targets:
+                        covers.setdefault(target, []).append(item)
+            size.append(count)
+        return cls(need=need,
+                   covers={t: tuple(items) for t, items in covers.items()},
+                   sets_of={i: tuple(sets) for i, sets in sets_of.items()},
+                   size=tuple(size))

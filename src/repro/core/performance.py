@@ -53,10 +53,34 @@ class Performance:
         self.filled: dict[RoleId, EnrollmentRequest] = {}
         self.done: set[RoleId] = set()
         self.crashed: set[RoleId] = set()
+        # Filled roles whose body has not finished, kept by fill/vacate/
+        # finish so a role's end need not compare ``filled`` with ``done``.
+        self._running = 0
         self.started = False
         self.sealed = False
         self.ended = False
         self.aborted = False
+
+    # -- membership ---------------------------------------------------------
+
+    def fill(self, role_id: RoleId, request: EnrollmentRequest) -> None:
+        """Bind ``request`` to the (unfilled) role ``role_id``."""
+        self.filled[role_id] = request
+        if role_id not in self.done:
+            self._running += 1
+
+    def vacate(self, role_id: RoleId) -> None:
+        """Unbind the filled role ``role_id``."""
+        del self.filled[role_id]
+        if role_id not in self.done:
+            self._running -= 1
+
+    def finish(self, role_id: RoleId) -> None:
+        """Record that ``role_id``'s body has finished."""
+        if role_id not in self.done:
+            self.done.add(role_id)
+            if role_id in self.filled:
+                self._running -= 1
 
     # -- addressing -------------------------------------------------------
 
@@ -111,7 +135,7 @@ class Performance:
     @property
     def all_filled_done(self) -> bool:
         """Have all participating roles finished their bodies?"""
-        return set(self.filled) <= self.done
+        return not self._running
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("aborted" if self.aborted else

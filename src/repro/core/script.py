@@ -29,10 +29,12 @@ of one definition are created with :meth:`ScriptDef.instance`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import ScriptDefinitionError
 from ..runtime import Scheduler
+from .matching import Coverage
 from .params import Param
 from .policies import Initiation, Termination, UnfilledPolicy
 from .roles import (RoleBody, RoleDecl, RoleFamily, RoleId, RoleSpec,
@@ -54,6 +56,9 @@ class ScriptDef:
         self.unfilled = unfilled
         self.declarations: dict[str, RoleDecl] = {}
         self._critical_sets: list[frozenset[Any]] = []
+        # Tables derived from the declarations and critical sets, each
+        # computed on first use and dropped whenever either changes.
+        self._derived: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Role declaration
@@ -64,6 +69,14 @@ class ScriptDef:
             raise ScriptDefinitionError(
                 f"script {self.name!r}: duplicate role {decl.name!r}")
         self.declarations[decl.name] = decl
+        self._derived.clear()
+
+    def _memo(self, key: str, compute: Callable[[], Any]) -> Any:
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
 
     def role(self, name: str, params: Sequence[Param] = ()
              ) -> Callable[[RoleBody], RoleBody]:
@@ -138,6 +151,7 @@ class ScriptDef:
         if not expanded:
             raise ScriptDefinitionError("critical role set must be nonempty")
         self._critical_sets.append(frozenset(expanded))
+        self._derived.clear()
 
     def _valid_role_id(self, role_id: RoleId) -> bool:
         if isinstance(role_id, str):
@@ -155,15 +169,32 @@ class ScriptDef:
         entire collection of roles is critical" — for open families that
         means at least ``min_count`` members.
         """
+        return list(self._memo("critical_sets", self._derive_critical_sets))
+
+    def _derive_critical_sets(self) -> tuple[frozenset[Any], ...]:
         if self._critical_sets:
-            return list(self._critical_sets)
+            return tuple(self._critical_sets)
         implicit: set[Any] = set(self.closed_role_ids)
-        implicit.update(name for name, decl in self.declarations.items()
-                        if isinstance(decl, RoleFamily) and decl.open)
+        implicit.update(self.open_families)
         if not implicit:
             raise ScriptDefinitionError(
                 f"script {self.name!r} declares no roles")
-        return [frozenset(implicit)]
+        return (frozenset(implicit),)
+
+    @property
+    def critical_orders(self) -> tuple[tuple[Any, ...], ...]:
+        """Each critical set's items in ``repr`` order (the trace's order)."""
+        return self._memo("critical_orders", lambda: tuple(
+            tuple(sorted(critical, key=repr))
+            for critical in self.critical_sets))
+
+    @property
+    def coverage(self) -> Coverage:
+        """The candidate counts a pool needs before matching can succeed."""
+        return self._memo("coverage", lambda: Coverage.of(
+            self.critical_sets,
+            {name: decl.min_count
+             for name, decl in self.open_families.items()}))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -172,20 +203,22 @@ class ScriptDef:
     @property
     def closed_role_ids(self) -> frozenset[RoleId]:
         """All statically known role ids (open-family members excluded)."""
-        return frozenset(expand_role_ids(self.declarations.values()))
+        return self._memo("closed_role_ids", lambda: frozenset(
+            expand_role_ids(self.declarations.values())))
 
     @property
-    def closed_families(self) -> dict[str, tuple[int, ...]]:
-        """Closed families: name -> index tuple."""
-        return {name: decl.indices
-                for name, decl in self.declarations.items()
-                if isinstance(decl, RoleFamily) and not decl.open}
+    def closed_families(self) -> Mapping[str, tuple[int, ...]]:
+        """Closed families: name -> index tuple (a read-only view)."""
+        return self._memo("closed_families", lambda: MappingProxyType({
+            name: decl.indices for name, decl in self.declarations.items()
+            if isinstance(decl, RoleFamily) and not decl.open}))
 
     @property
-    def open_families(self) -> dict[str, RoleFamily]:
-        """Open families by name."""
-        return {name: decl for name, decl in self.declarations.items()
-                if isinstance(decl, RoleFamily) and decl.open}
+    def open_families(self) -> Mapping[str, RoleFamily]:
+        """Open families by name (a read-only view)."""
+        return self._memo("open_families", lambda: MappingProxyType({
+            name: decl for name, decl in self.declarations.items()
+            if isinstance(decl, RoleFamily) and decl.open}))
 
     def declaration_for(self, role_id: RoleId) -> RoleDecl:
         """The declaration governing ``role_id`` (or a bare family name)."""

@@ -106,11 +106,12 @@ class Supervisor:
             return
         self.crashes += 1
         for role in crashed_roles:
-            performance.filled.pop(role)
+            performance.vacate(role)
             performance.crashed.add(role)
             instance._emit(EventKind.ROLE_CRASH, name, role=role,
                            performance=performance.id,
                            sealed=performance.sealed)
+        instance.scheduler.notify(performance)
         if not performance.sealed:
             # Participant set not final: the vacated role may be refilled
             # by a pooled or future request; no abort decision yet.
@@ -177,6 +178,7 @@ class Supervisor:
         performance.aborted = True
         if not SKIP_ABORT_PERFORMANCE_END:
             performance.ended = True
+        scheduler.notify(performance)
         crashed = tuple(sorted(performance.crashed, key=repr))
         instance._emit(EventKind.PERFORMANCE_ABORT, None,
                        performance=performance.id,

@@ -140,13 +140,25 @@ class Delay(Effect):
 class WaitUntil(Effect):
     """Block until ``predicate()`` returns true.
 
-    The predicate is re-evaluated whenever the scheduler's state may have
-    changed (a process stepped, completed, or a rendezvous committed).  It
-    must be side-effect free.
+    The predicate is evaluated once when the effect is yielded; if it is
+    false the process parks, and when it is evaluated again depends on
+    ``on``:
+
+    * ``on=None`` (an *unkeyed* waiter): at every settle — after each step
+      and each clock advance — for as long as the process stays parked.
+    * ``on=key`` (a *keyed* waiter): only at the first settle after some
+      code called ``Scheduler.notify(key)``.  Whoever changes the state
+      the predicate reads must notify ``key`` after the change; a change
+      without a notify leaves the waiter parked (a missed wake-up, which
+      surfaces as a deadlock, never as a wrong result).
+
+    Satisfied waiters wake in the order they parked, keyed or not.  The
+    predicate must be side-effect free.
     """
 
     predicate: Callable[[], bool]
     description: str = "condition"
+    on: Hashable = None
 
 
 class _TimedOut:

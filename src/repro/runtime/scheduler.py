@@ -21,6 +21,7 @@ import random
 import struct
 import zlib
 from collections import deque
+from operator import attrgetter
 from time import perf_counter_ns
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -128,15 +129,21 @@ class TimerHandle:
 
 
 class _Waiter:
-    """A process blocked on a ``WaitUntil`` condition."""
+    """A process blocked on a ``WaitUntil`` condition.
 
-    __slots__ = ("process", "predicate", "description")
+    ``key`` is the effect's ``on`` key (``None`` for an unkeyed waiter);
+    ``seq`` is the park order, the order in which satisfied waiters wake.
+    """
+
+    __slots__ = ("process", "predicate", "description", "key", "seq")
 
     def __init__(self, process: Process, predicate: Callable[[], bool],
-                 description: str):
+                 description: str, key: Hashable, seq: int):
         self.process = process
         self.predicate = predicate
         self.description = description
+        self.key = key
+        self.seq = seq
 
 
 class Scheduler:
@@ -174,6 +181,7 @@ class Scheduler:
         "seed", "rng", "tracer", "max_steps", "fail_fast", "transport",
         "match_filter", "match_deadline", "now", "total_steps",
         "processes", "alias_owner", "_ready", "_board", "_waiters",
+        "_unkeyed", "_keyed", "_due", "_park_seq",
         "_timers", "_timer_seq", "_armed_timers", "_cancelled_in_heap",
         "_process_timers", "_reaped_results", "_reaped_failures",
         "_reaped_killed", "_first_failure", "_kill_listeners",
@@ -208,7 +216,15 @@ class Scheduler:
         self._ready: deque[Process] = deque()
         self._board = board if board is not None else IndexedBoard()
         self._board.bind(self.alias_owner)
+        # Every parked waiter by process name, in park order.  Each one
+        # also sits in exactly one poll index: ``_unkeyed`` (polled at
+        # every settle), ``_keyed[key]`` (parked until ``notify(key)``) or
+        # ``_due`` (notified, polled at the next settle).
         self._waiters: dict[Hashable, _Waiter] = {}
+        self._unkeyed: dict[Hashable, _Waiter] = {}
+        self._keyed: dict[Hashable, dict[Hashable, _Waiter]] = {}
+        self._due: dict[Hashable, _Waiter] = {}
+        self._park_seq = 0
         self._timers: list[tuple[float, int, TimerHandle]] = []
         self._timer_seq = 0
         # Exact armed/cancelled-in-heap counts, kept live by push, fire,
@@ -434,7 +450,7 @@ class Scheduler:
         process.state = ProcessState.DONE
         self._board.withdraw(name)
         self._board_dirty = True
-        self._waiters.pop(name, None)
+        self._unpark(name)
         self._withdraw_process_timers(name)
         self._release_aliases(process)
         self.tracer.emit(self.now, EventKind.PROC_DONE, name, killed=True)
@@ -462,7 +478,7 @@ class Scheduler:
             return
         self._board.withdraw(name)
         self._board_dirty = True
-        self._waiters.pop(name, None)
+        self._unpark(name)
         self._withdraw_process_timers(name)
         self.tracer.emit(self.now, EventKind.INTERRUPT, name, error=repr(exc))
         self._throw(process, exc)
@@ -880,8 +896,7 @@ class Scheduler:
             else:
                 process.state = ProcessState.BLOCKED
                 process.blocked_reason = f"until {effect.description}"
-                self._waiters[process.name] = _Waiter(
-                    process, effect.predicate, effect.description)
+                self._park(process, effect)
         elif isinstance(effect, GetTime):
             self._make_ready(process, self.now)
         elif isinstance(effect, GetName):
@@ -918,6 +933,80 @@ class Scheduler:
                 f"process {process.name!r} yielded a non-effect: {effect!r}")
 
     # ------------------------------------------------------------------
+    # Condition waiters: parking, keyed notification, polling
+    # ------------------------------------------------------------------
+
+    def notify(self, key: Hashable) -> None:
+        """Mark every waiter parked with ``WaitUntil(..., on=key)`` due.
+
+        Due waiters have their predicates polled at the next settle (the
+        one that follows the current step, timer action or kill).  Call
+        it after changing state a keyed predicate reads; notifying a key
+        nobody waits on costs one dictionary lookup and does nothing.
+        """
+        parked = self._keyed.pop(key, None)
+        if parked is not None:
+            self._due.update(parked)
+
+    def _park(self, process: Process, effect: WaitUntil) -> None:
+        self._park_seq += 1
+        key = effect.on
+        waiter = _Waiter(process, effect.predicate, effect.description,
+                         key, self._park_seq)
+        name = process.name
+        self._waiters[name] = waiter
+        if key is None:
+            self._unkeyed[name] = waiter
+        else:
+            self._keyed.setdefault(key, {})[name] = waiter
+
+    def _unpark(self, name: Hashable) -> None:
+        """Drop ``name``'s waiter, if any, from every index (kill/interrupt)."""
+        waiter = self._waiters.pop(name, None)
+        if waiter is None:
+            return
+        if waiter.key is None:
+            del self._unkeyed[name]
+        elif self._due.pop(name, None) is None:
+            parked = self._keyed[waiter.key]
+            del parked[name]
+            if not parked:
+                del self._keyed[waiter.key]
+
+    def _poll_waiters(self) -> int:
+        """Wake every due or unkeyed waiter whose predicate holds.
+
+        Polls the unkeyed waiters and the keyed ones notified since the
+        last poll, in park order, and wakes the satisfied ones in that
+        order — the order a poll of every parked waiter would wake them
+        in, as long as each keyed predicate only turns true together with
+        a notify of its key.  An unsatisfied keyed waiter goes back to
+        waiting for its key.  Returns the number of predicates polled.
+        """
+        unkeyed = self._unkeyed
+        due = self._due
+        if due:
+            self._due = {}
+            batch = sorted([*unkeyed.values(), *due.values()],
+                           key=attrgetter("seq"))
+        elif unkeyed:
+            batch = list(unkeyed.values())
+        else:
+            return 0
+        waiters = self._waiters
+        keyed = self._keyed
+        for waiter in batch:
+            name = waiter.process.name
+            if waiter.predicate():
+                del waiters[name]
+                if waiter.key is None:
+                    del unkeyed[name]
+                self._make_ready(waiter.process)
+            elif waiter.key is not None:
+                keyed.setdefault(waiter.key, {})[name] = waiter
+        return len(batch)
+
+    # ------------------------------------------------------------------
     # Settling: rendezvous matching and condition wake-ups
     # ------------------------------------------------------------------
 
@@ -943,11 +1032,11 @@ class Scheduler:
         ``_board_dirty`` clear (nothing posted, withdrawn, or re-aliased)
         when no waiters are parked — such a settle is provably a no-op,
         since the previous one already drained the candidate set.  Waiter
-        predicates are polled once per settle (the triggering step or
-        timer may have changed what they observe) and re-polled only
-        while rounds keep changing state — a commit or a wake — since
-        nothing else can newly satisfy them; with no waiters parked the
-        poll pass is skipped outright.
+        predicates are polled by :meth:`_poll_waiters` — unkeyed ones once
+        per settle round, keyed ones only after a notify of their key —
+        and rounds repeat only while they keep changing state (a commit or
+        a wake), since nothing else can newly satisfy a predicate; with no
+        waiters parked the poll pass is skipped outright.
         """
         if self._sink_phase:
             return self._settle_profiled()
@@ -973,16 +1062,9 @@ class Scheduler:
                 # waiter wakes stays trace-identical to the legacy rounds.)
                 if not waiters:
                     return
-                changed = False
-                for name in list(waiters):
-                    waiter = waiters.get(name)
-                    if waiter is None:
-                        continue
-                    if waiter.predicate():
-                        del waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
-                if not changed:
+                parked = len(waiters)
+                self._poll_waiters()
+                if len(waiters) == parked:
                     return
         board_candidates = board.candidates
         owner = self.alias_owner
@@ -1007,14 +1089,10 @@ class Scheduler:
                 self._commit(commit)
                 changed = True
             if self._waiters:
-                for name in list(self._waiters):
-                    waiter = self._waiters.get(name)
-                    if waiter is None:
-                        continue
-                    if waiter.predicate():
-                        del self._waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
+                parked = len(self._waiters)
+                self._poll_waiters()
+                if len(self._waiters) != parked:
+                    changed = True
 
     def _settle_profiled(self) -> None:
         """The settle loop with phase timers and work counters woven in.
@@ -1067,15 +1145,9 @@ class Scheduler:
                     commits += 1
                 if not waiters:
                     break
-                for name in list(waiters):
-                    waiter = waiters.get(name)
-                    if waiter is None:
-                        continue
-                    waiters_polled += 1
-                    if waiter.predicate():
-                        del waiters[name]
-                        self._make_ready(waiter.process)
-                        draining = True
+                parked = len(waiters)
+                waiters_polled += self._poll_waiters()
+                draining = len(waiters) != parked
             sink = self._sink
             journal_ns = self._prof_journal_ns
             sink.on_phase("match", match_ns)
@@ -1122,15 +1194,10 @@ class Scheduler:
                 commits += 1
                 changed = True
             if self._waiters:
-                for name in list(self._waiters):
-                    waiter = self._waiters.get(name)
-                    if waiter is None:
-                        continue
-                    waiters_polled += 1
-                    if waiter.predicate():
-                        del self._waiters[name]
-                        self._make_ready(waiter.process)
-                        changed = True
+                parked = len(self._waiters)
+                waiters_polled += self._poll_waiters()
+                if len(self._waiters) != parked:
+                    changed = True
         sink = self._sink
         journal_ns = self._prof_journal_ns
         sink.on_phase("match", match_ns)

@@ -138,18 +138,21 @@ class AdaTranslatedScript:
         def task_body(ctx: TaskContext) -> Body:
             roles = list(self.roles)
             for _ in range(performances):
-                pending = set(roles)
+                # Declaration-ordered (not a set of strings): the select's
+                # Choice draws from the alternatives in this order, so a
+                # hash-ordered set would make the trace vary by process.
+                pending = dict.fromkeys(roles)
                 while pending:
                     entry, call = yield from ctx.select(
                         [when(True, ("begin", role)) for role in pending])
                     call.complete()
-                    pending.discard(entry[1])
-                pending = set(roles)
+                    del pending[entry[1]]
+                pending = dict.fromkeys(roles)
                 while pending:
                     entry, call = yield from ctx.select(
                         [when(True, ("finish", role)) for role in pending])
                     call.complete()
-                    pending.discard(entry[1])
+                    del pending[entry[1]]
         return task_body
 
     # -- enrollment ---------------------------------------------------------------

@@ -1,0 +1,185 @@
+"""The seed's ``solve``, kept verbatim as the oracle for the fast one.
+
+:mod:`repro.core.matching` now groups the pool by role once, backtracks
+with index-based slots, and checks partner constraints only against
+requests that carry them.  This module is the matcher as it stood before
+those changes, copied unchanged apart from this docstring and the
+imports, so ``tests/core/test_solve_differential.py`` can require
+identical bindings from both on generated pools.  Do not optimise it.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Iterable, Mapping, Sequence
+
+from repro.core.enrollment import EnrollmentRequest
+from repro.core.matching import Assignment, CriticalItem
+from repro.core.roles import RoleId, family_member, family_of
+
+
+def _pairwise_consistent(existing: Iterable[tuple[RoleId, EnrollmentRequest]],
+                         role_id: RoleId,
+                         request: EnrollmentRequest) -> bool:
+    """Check mutual constraints between a candidate and accepted requests."""
+    if not request.accepts_binding(role_id, request.process):
+        return False
+    for bound_role, bound_request in existing:
+        if not request.accepts_binding(bound_role, bound_request.process):
+            return False
+        if not bound_request.accepts_binding(role_id, request.process):
+            return False
+    return True
+
+
+def slot_candidates(pool: Sequence[EnrollmentRequest],
+                    role_id: RoleId) -> list[EnrollmentRequest]:
+    """Pending requests that could fill concrete role ``role_id``.
+
+    A request naming the family without an index ("any free index") is a
+    candidate for every member of that family.
+    """
+    family = family_of(role_id)
+    return [r for r in pool
+            if r.role_id == role_id
+            or (family is not None and r.role_id == family)]
+
+
+def _family_candidates(pool: Sequence[EnrollmentRequest],
+                       family: str) -> list[EnrollmentRequest]:
+    """Pending requests targeting open family ``family`` (bare name)."""
+    return [r for r in pool if r.role_id == family]
+
+
+def _search(slots: list[tuple[RoleId | None, list[EnrollmentRequest]]],
+            chosen: list[EnrollmentRequest],
+            chosen_roles: list[RoleId],
+            used: set[Hashable]) -> bool:
+    """Backtracking over the slot list; fills ``chosen`` on success.
+
+    A slot is ``(concrete_role_id, candidates)`` or ``(None, candidates)``
+    for an anonymous open-family slot, whose effective role id (for
+    constraint checking) is the candidate's family name.
+    """
+    if not slots:
+        return True
+    role_id, candidates = slots[0]
+    for candidate in candidates:
+        if any(candidate is c for c in chosen) or candidate.process in used:
+            continue
+        effective_role = role_id if role_id is not None else candidate.role_id
+        if not _pairwise_consistent(zip(chosen_roles, chosen),
+                                    effective_role, candidate):
+            continue
+        chosen.append(candidate)
+        chosen_roles.append(effective_role)
+        used.add(candidate.process)
+        if _search(slots[1:], chosen, chosen_roles, used):
+            return True
+        chosen.pop()
+        chosen_roles.pop()
+        used.remove(candidate.process)
+    return False
+
+
+def solve(pool: Sequence[EnrollmentRequest],
+          critical_sets: Sequence[frozenset[CriticalItem]],
+          closed_families: Mapping[str, tuple[int, ...]],
+          open_family_min: Mapping[str, int],
+          open_family_max: Mapping[str, int | None],
+          closed_role_ids: frozenset[RoleId]) -> Assignment | None:
+    """Find a joint enrollment covering some critical set, or ``None``.
+
+    ``critical_sets`` are tried in declaration order; within one set, the
+    required slots are filled by backtracking over pending requests in
+    arrival order (so earlier enrollments win ties, matching the FIFO
+    fairness the paper attributes to Ada).  The base assignment is then
+    greedily extended with every remaining compatible request.
+    """
+    pool = sorted(pool, key=lambda r: r.seq)
+    for critical in critical_sets:
+        slots: list[tuple[RoleId | None, list[EnrollmentRequest]]] = []
+        feasible = True
+        for item in sorted(critical, key=repr):
+            if isinstance(item, str) and item in open_family_min:
+                needed = open_family_min[item]
+                candidates = _family_candidates(pool, item)
+                if len(candidates) < needed:
+                    feasible = False
+                    break
+                for _ in range(needed):
+                    slots.append((None, candidates))
+            else:
+                candidates = slot_candidates(pool, item)
+                if not candidates:
+                    feasible = False
+                    break
+                slots.append((item, candidates))
+        if not feasible:
+            continue
+
+        chosen: list[EnrollmentRequest] = []
+        chosen_roles: list[RoleId] = []
+        used: set[Hashable] = set()
+        if not _search(slots, chosen, chosen_roles, used):
+            continue
+
+        assignment = Assignment(bindings={}, family_members={})
+        for role_id, request in zip(chosen_roles, chosen):
+            if role_id in open_family_min:
+                assignment.family_members.setdefault(role_id, []).append(request)
+            else:
+                assignment.bindings[role_id] = request
+        _extend_greedily(assignment, pool, closed_families,
+                         open_family_min, open_family_max, closed_role_ids)
+        return assignment
+    return None
+
+
+def _free_family_index(assignment: Assignment, family: str,
+                       indices: tuple[int, ...]) -> int | None:
+    """Lowest index of a closed family not yet bound in ``assignment``."""
+    for index in sorted(indices):
+        if family_member(family, index) not in assignment.bindings:
+            return index
+    return None
+
+
+def _extend_greedily(assignment: Assignment,
+                     pool: Sequence[EnrollmentRequest],
+                     closed_families: Mapping[str, tuple[int, ...]],
+                     open_family_min: Mapping[str, int],
+                     open_family_max: Mapping[str, int | None],
+                     closed_role_ids: frozenset[RoleId]) -> None:
+    """Add every remaining compatible request, in arrival order."""
+    taken = {id(r) for r in assignment.all_requests()}
+    for request in pool:
+        if id(request) in taken:
+            continue
+        if request.process in assignment.processes():
+            continue
+        target = request.role_id
+
+        if isinstance(target, str) and target in open_family_min:
+            members = assignment.family_members.setdefault(target, [])
+            limit = open_family_max.get(target)
+            if limit is not None and len(members) >= limit:
+                continue
+            if not _pairwise_consistent(assignment.pairs(), target, request):
+                continue
+            members.append(request)
+            taken.add(id(request))
+            continue
+
+        if isinstance(target, str) and target in closed_families:
+            index = _free_family_index(assignment, target,
+                                       closed_families[target])
+            if index is None:
+                continue
+            target = family_member(request.role_id, index)
+
+        if target in assignment.bindings or target not in closed_role_ids:
+            continue
+        if not _pairwise_consistent(assignment.pairs(), target, request):
+            continue
+        assignment.bindings[target] = request
+        taken.add(id(request))
