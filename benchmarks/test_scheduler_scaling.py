@@ -137,6 +137,14 @@ class PrePRScheduler(Scheduler):
                     changed = True
         self._board_dirty = True
 
+    def _filter_commits(self, commits):
+        # Pre-PR helper, kept here since the live scheduler folded it
+        # into its settle loop.
+        if self.match_filter is None:
+            return commits
+        allow = self.match_filter
+        return [c for c in commits if allow(c.sender, c.receiver)]
+
     def _post_group(self, process, group, timeout=None, on_expiry=None):
         super()._post_group(process, group, timeout=timeout,
                             on_expiry=on_expiry)

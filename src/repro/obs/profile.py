@@ -370,13 +370,16 @@ def _iter_reports(document: dict[str, Any]):
 
 def diff_attributions(old: dict[str, Any],
                       new: dict[str, Any]) -> list[str]:
-    """Name the phase whose share of wall grew between two profiles.
+    """Name the phase that grew between two profiles, in share and time.
 
     The bench-gate explainer: when ops/sec regresses, this says *where*
     the new cycles went.  For every label present in both documents the
-    phase with the largest percentage-point share growth is reported,
-    with the supporting per-commit counter that moved the most.  Output
-    is informational — sorted by share growth, largest first.
+    phase with the largest percentage-point share growth *whose absolute
+    time also grew* is reported, its old -> new time beside its share,
+    with the supporting per-commit counter that moved the most.  A share
+    can also grow because the run shrank around it (another phase got
+    faster); a phase whose time did not grow is never reported as grown.
+    Output is informational — sorted by share growth, largest first.
     """
     olds = dict(_iter_reports(old))
     news = dict(_iter_reports(new))
@@ -387,13 +390,28 @@ def diff_attributions(old: dict[str, Any],
             continue
         old_phases = base["wall"].get("phases", {})
         new_phases = fresh["wall"].get("phases", {})
-        grown = sorted(
-            ((new_phases[p]["pct"] - old_phases.get(p, {}).get("pct", 0.0),
-              p) for p in new_phases),
-            reverse=True)
-        if not grown:
+        if not new_phases:
             continue
-        delta, phase = grown[0]
+        unit = ("ticks" if fresh["wall"].get("clock") == "deterministic-ticks"
+                else "ns")
+
+        def gain(phase: str) -> float:
+            return (new_phases[phase]["pct"]
+                    - old_phases.get(phase, {}).get("pct", 0.0))
+
+        def time_grew(phase: str) -> bool:
+            return (new_phases[phase].get("ns", 0)
+                    > old_phases.get(phase, {}).get("ns", 0))
+
+        ranked = sorted(new_phases, key=lambda p: (gain(p), p), reverse=True)
+        grown = [p for p in ranked if gain(p) > 0 and time_grew(p)]
+        phase = grown[0] if grown else ranked[0]
+        before = old_phases.get(phase, {})
+        delta = gain(phase)
+        old_pct = before.get("pct", 0.0)
+        new_pct = new_phases[phase]["pct"]
+        times = (f"{before.get('ns', 0)} -> {new_phases[phase].get('ns', 0)}"
+                 f" {unit}")
         counter_note = ""
         old_rates = base.get("per_commit", {})
         new_rates = fresh.get("per_commit", {})
@@ -405,17 +423,16 @@ def diff_attributions(old: dict[str, Any],
             counter_note = (f"; {counter}/commit "
                             f"{old_rates.get(counter, 0.0)} -> "
                             f"{new_rates[counter]}")
-        old_pct = old_phases.get(phase, {}).get("pct", 0.0)
-        new_pct = new_phases[phase]["pct"]
-        if delta > 0:
+        if grown:
             findings.append((delta, (
                 f"{label}: phase '{phase}' grew {old_pct}% -> {new_pct}% "
-                f"of run wall (+{round(delta, 2)} pts){counter_note}")))
+                f"of run wall (+{round(delta, 2)} pts, {times})"
+                f"{counter_note}")))
         else:
             findings.append((delta, (
-                f"{label}: no phase share grew "
-                f"(largest: '{phase}' {old_pct}% -> {new_pct}%)"
-                f"{counter_note}")))
+                f"{label}: no phase share grew along with its time "
+                f"(largest share change: '{phase}' {old_pct}% -> "
+                f"{new_pct}%, {times}){counter_note}")))
     return [line for _, line in
             sorted(findings, key=lambda f: f[0], reverse=True)]
 

@@ -118,15 +118,10 @@ class IndexedBoard(RendezvousBoard):
     must be the bound mapping.
     """
 
-    #: The scheduler's settle loop may use :attr:`candidate_count` and
-    #: :meth:`pick` instead of materializing :meth:`candidates` when no
-    #: match filter is installed.
-    fast_pick = True
-
     def __init__(self, owner: dict[Hashable, "Process"] | None = None):
         super().__init__()
-        self._owner: dict[Hashable, "Process"] = owner if owner is not None \
-            else {}
+        if owner is not None:
+            self._owner = owner
         # Offer buckets, keyed by the alias an offer *addresses*.
         self._sends_to: dict[Hashable, dict[Offer, None]] = {}
         self._recvs_from: dict[Hashable, dict[Offer, None]] = {}
@@ -626,12 +621,11 @@ class IndexedBoard(RendezvousBoard):
     def pick(self, rng: "Random") -> Commit | None:
         """Draw one candidate exactly as ``rng.choice(candidates())`` would.
 
-        The fast path indexes the maintained order directly — no list is
-        built, no sort runs — and consumes the identical RNG draw
-        (``choice`` only reads ``len`` and one item), so a run is
-        byte-identical whichever path executed.  Returns ``None`` with no
-        RNG consumption when no pair is visible, mirroring the settle
-        loop's no-candidates exit.
+        With no suspended pair it indexes the maintained order directly
+        — no list is built, no sort runs — and consumes the identical RNG
+        draw (``choice`` only reads ``len`` and one item), so a run is
+        byte-identical to one on the full-scan board.  Returns ``None``
+        with no RNG consumption when no pair is visible.
         """
         pairs = self._pairs
         suspended = self._suspended_pairs

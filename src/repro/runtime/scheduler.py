@@ -1010,194 +1010,100 @@ class Scheduler:
     # Settling: rendezvous matching and condition wake-ups
     # ------------------------------------------------------------------
 
-    def _filter_commits(self, commits: list[board_mod.Commit]
-                        ) -> list[board_mod.Commit]:
-        if self.match_filter is None:
-            return commits
-        allow = self.match_filter
-        return [c for c in commits if allow(c.sender, c.receiver)]
-
     def _matchable(self, group: OfferGroup) -> bool:
         """Could ``group`` commit right now (respecting the match filter)?"""
-        return bool(self._filter_commits(
-            self._board.candidates_for(group, self.alias_owner)))
+        candidates = self._board.candidates_for(group, self.alias_owner)
+        allow = self.match_filter
+        if allow is None:
+            return bool(candidates)
+        return any(allow(c.sender, c.receiver) for c in candidates)
+
+    def _pick_allowed(self, rng: random.Random) -> board_mod.Commit | None:
+        """The board's ``pick``, restricted to pairs the match filter allows.
+
+        Draws among the passing candidates exactly as ``rng.choice`` on
+        the filtered list would, and returns ``None`` with no RNG draw
+        when none passes.  Each vetoed pair has its wait bounded by
+        ``match_deadline`` when one is set.
+        """
+        allow = self.match_filter
+        passed = []
+        for commit in self._board.candidates(self.alias_owner):
+            if allow(commit.sender, commit.receiver):
+                passed.append(commit)
+            elif self.match_deadline is not None:
+                self._arm_match_deadline(commit)
+        return rng.choice(passed) if passed else None
 
     def _settle(self) -> None:
         """Commit matchable rendezvous and wake satisfied waiters to fixpoint.
 
-        With the indexed board, each candidate query drains the live pair
-        set (O(pairs log pairs)) instead of re-scanning the whole board,
-        so a settle round costs O(what this step changed).  The caller
-        additionally skips the settle outright after steps that left
-        ``_board_dirty`` clear (nothing posted, withdrawn, or re-aliased)
-        when no waiters are parked — such a settle is provably a no-op,
-        since the previous one already drained the candidate set.  Waiter
-        predicates are polled by :meth:`_poll_waiters` — unkeyed ones once
-        per settle round, keyed ones only after a notify of their key —
-        and rounds repeat only while they keep changing state (a commit or
-        a wake), since nothing else can newly satisfy a predicate; with no
-        waiters parked the poll pass is skipped outright.
+        One loop serves every configuration.  The picker is chosen once:
+        the board's ``pick`` (O(1) on the indexed board, a full scan on
+        the oracle) or, under a match filter, :meth:`_pick_allowed`.  Each
+        makes the one RNG draw ``rng.choice`` on the (filtered) candidate
+        list would, so the decision sequence — and therefore the trace —
+        does not depend on the board.
+
+        A round drains the board, then polls waiters with
+        :meth:`_poll_waiters` (unkeyed ones every round, keyed ones only
+        after a notify of their key).  Commits only enqueue ready
+        processes — no process runs inside the settle — so the board
+        cannot refill until a waiter wakes: a poll that wakes nobody is
+        the fixpoint, and with no waiters parked one drain is the whole
+        settle.  The caller additionally skips the settle outright after
+        steps that left ``_board_dirty`` clear when no waiters are parked.
+
+        With a profiler installed (``_sink_phase``), the same loop times
+        its phases: ``match`` covers the candidate count plus the pick
+        (filter pass included), ``commit`` the rendezvous commits (minus
+        cadence-hook time, split out as ``journal``), and ``settle`` is
+        the residual — loop bookkeeping and waiter-predicate polling.
+        The work counters go to ``on_settle`` once per settle.
         """
-        if self._sink_phase:
-            return self._settle_profiled()
         self._board_dirty = False
         board = self._board
-        if self.match_filter is None and board.fast_pick:
-            # Fast drain: the indexed board answers emptiness in O(1) and
-            # draws the committed pair straight from its maintained order
-            # without materializing (or re-sorting) a candidate list.
-            # ``pick`` consumes the identical RNG draw ``rng.choice`` on
-            # the full candidate list would, so the decision sequence —
-            # and therefore the trace — is unchanged.
-            rng = self.rng
-            pick = board.pick
-            waiters = self._waiters
+        rng = self.rng
+        pick = board.pick if self.match_filter is None else self._pick_allowed
+        waiters = self._waiters
+        prof = self._sink_phase
+        if prof:
+            clk = self.prof_clock
+            settle_start = clk()
+            self._prof_journal_ns = 0
+            match_ns = commit_ns = 0
+        commits = rounds = queries = seen = polled = peak = 0
+        while True:
+            rounds += 1
             while True:
-                while (commit := pick(rng)) is not None:
-                    self._commit(commit)
-                # Commits only enqueue ready processes — no user code runs
-                # inside the drain — so with no waiters parked the board
-                # cannot refill and one drain pass is the whole fixpoint.
-                # (An empty pick consumes no RNG, so looping back after
-                # waiter wakes stays trace-identical to the legacy rounds.)
-                if not waiters:
-                    return
-                parked = len(waiters)
-                self._poll_waiters()
-                if len(waiters) == parked:
-                    return
-        board_candidates = board.candidates
-        owner = self.alias_owner
-        changed = True
-        while changed:
-            changed = False
-            while True:
-                candidates = board_candidates(owner)
-                if candidates:
-                    allow = self.match_filter
-                    if allow is not None:
-                        passed = []
-                        for c in candidates:
-                            if allow(c.sender, c.receiver):
-                                passed.append(c)
-                            elif self.match_deadline is not None:
-                                self._arm_match_deadline(c)
-                        candidates = passed
-                if not candidates:
-                    break
-                commit = self.rng.choice(candidates)
-                self._commit(commit)
-                changed = True
-            if self._waiters:
-                parked = len(self._waiters)
-                self._poll_waiters()
-                if len(self._waiters) != parked:
-                    changed = True
-
-    def _settle_profiled(self) -> None:
-        """The settle loop with phase timers and work counters woven in.
-
-        Identical decision sequence to :meth:`_settle` — same candidate
-        queries, same RNG draws, same commit order — so a profiled run's
-        trace is byte-identical to an unprofiled one.  Phase accounting:
-        ``match`` covers candidate queries plus match-filter passes,
-        ``commit`` the rendezvous commits (minus cadence-hook time, split
-        out as ``journal``), and ``settle`` is this pass's residual —
-        loop bookkeeping, RNG draws, and waiter-predicate polling.
-
-        On the indexed board's fast-pick path, ``match`` instead covers
-        the O(1) emptiness check plus the pick (which subsumes the RNG
-        draw the legacy path books under ``settle``) — the pick *is* the
-        candidate query there, so the taxonomy still slices at the same
-        semantic joints: deciding what can commit vs performing it.
-        """
-        clk = self.prof_clock
-        settle_start = clk()
-        self._prof_journal_ns = 0
-        match_ns = 0
-        commit_ns = 0
-        commits = rounds = queries = candidates_seen = waiters_polled = 0
-        pairs_peak = 0
-        self._board_dirty = False
-        board = self._board
-        if self.match_filter is None and board.fast_pick:
-            rng = self.rng
-            pick = board.pick
-            waiters = self._waiters
-            draining = True
-            while draining:
-                draining = False
-                rounds += 1
-                while True:
+                if prof:
                     mark = clk()
                     count = board.candidate_count
-                    commit = pick(rng) if count else None
+                    commit = pick(rng)
                     match_ns += clk() - mark
                     queries += 1
-                    candidates_seen += count
-                    if count > pairs_peak:
-                        pairs_peak = count
-                    if commit is None:
-                        break
+                    seen += count
+                    if count > peak:
+                        peak = count
+                else:
+                    commit = pick(rng)
+                if commit is None:
+                    break
+                if prof:
                     mark = clk()
                     self._commit(commit)
                     commit_ns += clk() - mark
                     commits += 1
-                if not waiters:
-                    break
-                parked = len(waiters)
-                waiters_polled += self._poll_waiters()
-                draining = len(waiters) != parked
-            sink = self._sink
-            journal_ns = self._prof_journal_ns
-            sink.on_phase("match", match_ns)
-            sink.on_phase("commit", commit_ns - journal_ns)
-            if journal_ns:
-                sink.on_phase("journal", journal_ns)
-            residual = clk() - settle_start - match_ns - commit_ns
-            sink.on_phase("settle", residual if residual > 0 else 0)
-            if self._sink_settle:
-                sink.on_settle(self.now, commits, rounds, queries,
-                               candidates_seen, waiters_polled,
-                               pairs_peak, self._prof_timer_ops)
+                else:
+                    self._commit(commit)
+            if not waiters:
+                break
+            parked = len(waiters)
+            polled += self._poll_waiters()
+            if len(waiters) == parked:
+                break
+        if not prof:
             return
-        board_candidates = board.candidates
-        owner = self.alias_owner
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            while True:
-                mark = clk()
-                candidates = board_candidates(owner)
-                if candidates:
-                    if len(candidates) > pairs_peak:
-                        pairs_peak = len(candidates)
-                    allow = self.match_filter
-                    if allow is not None:
-                        passed = []
-                        for c in candidates:
-                            if allow(c.sender, c.receiver):
-                                passed.append(c)
-                            elif self.match_deadline is not None:
-                                self._arm_match_deadline(c)
-                        candidates = passed
-                match_ns += clk() - mark
-                queries += 1
-                candidates_seen += len(candidates)
-                if not candidates:
-                    break
-                commit = self.rng.choice(candidates)
-                mark = clk()
-                self._commit(commit)
-                commit_ns += clk() - mark
-                commits += 1
-                changed = True
-            if self._waiters:
-                parked = len(self._waiters)
-                waiters_polled += self._poll_waiters()
-                if len(self._waiters) != parked:
-                    changed = True
         sink = self._sink
         journal_ns = self._prof_journal_ns
         sink.on_phase("match", match_ns)
@@ -1207,9 +1113,8 @@ class Scheduler:
         residual = clk() - settle_start - match_ns - commit_ns
         sink.on_phase("settle", residual if residual > 0 else 0)
         if self._sink_settle:
-            sink.on_settle(self.now, commits, rounds, queries,
-                           candidates_seen, waiters_polled,
-                           pairs_peak, self._prof_timer_ops)
+            sink.on_settle(self.now, commits, rounds, queries, seen, polled,
+                           peak, self._prof_timer_ops)
 
     def _arm_match_deadline(self, commit: board_mod.Commit) -> None:
         """Bound a filter-vetoed candidate pair's wait by ``match_deadline``.

@@ -18,25 +18,51 @@ import pytest
 
 from repro.obs import (PHASES, Profiler, build_spans, diff_attributions,
                        dump_chrome_trace, profile_scenario, tick_clock)
-from repro.runtime import IndexedBoard, Receive, Scheduler, Send, format_trace
+from repro.errors import TimeoutError
+from repro.runtime import (Delay, IndexedBoard, OracleBoard, Receive,
+                           Scheduler, Send, format_trace)
 from repro.runtime.instrument import Sink, TeeSink, sink_overrides
 
 
-def run_pingpong(profiler=None, rounds=3):
-    scheduler = Scheduler(seed=7, board=IndexedBoard())
+def run_pingpong(profiler=None, rounds=3, board=IndexedBoard,
+                 veto=None):
+    """Two processes volleying a ball ``rounds`` times.
+
+    ``veto=(window, deadline)`` installs a match filter that vetoes every
+    pair until virtual time ``window`` (a ticker process's ``Delay`` moves
+    the clock there) and sets ``match_deadline``; a party whose vetoed
+    offer expires retries it, so the run completes either way.
+    """
+    scheduler = Scheduler(seed=7, board=board())
     if profiler is not None:
         profiler.attach(scheduler)
 
+    def attempt(effect):
+        while True:
+            try:
+                return (yield effect)
+            except TimeoutError:
+                continue
+
     def left():
         for _ in range(rounds):
-            yield Send("right", "ball")
-            yield Receive("right")
+            yield from attempt(Send("right", "ball"))
+            yield from attempt(Receive("right"))
 
     def right():
         for _ in range(rounds):
-            yield Receive("left")
-            yield Send("left", "ball")
+            yield from attempt(Receive("left"))
+            yield from attempt(Send("left", "ball"))
 
+    if veto is not None:
+        window, deadline = veto
+        scheduler.match_filter = lambda s, r: scheduler.now >= window
+        scheduler.match_deadline = deadline
+
+        def ticker():
+            yield Delay(window)
+
+        scheduler.spawn("ticker", ticker())
     scheduler.spawn("left", left())
     scheduler.spawn("right", right())
     scheduler.run()
@@ -77,10 +103,19 @@ def test_default_report_omits_wall_but_wall_flag_adds_it():
 # Zero distortion: profiled runs leave no trace in the trace
 # ---------------------------------------------------------------------------
 
-def test_profiled_trace_is_byte_identical_to_unprofiled():
-    plain = run_pingpong()
-    profiled = run_pingpong(Profiler())
+@pytest.mark.parametrize("board, veto", [
+    (IndexedBoard, None),
+    (OracleBoard, None),
+    (IndexedBoard, (1.0, 3.0)),      # vetoed pair commits once it heals
+    (OracleBoard, (1.0, 3.0)),
+    (IndexedBoard, (1.0, 0.5)),      # vetoed offers expire and retry
+], ids=["indexed", "oracle", "filtered", "oracle-filtered",
+        "filtered-expiring"])
+def test_profiled_trace_is_byte_identical_to_unprofiled(board, veto):
+    plain = run_pingpong(board=board, veto=veto)
+    profiled = run_pingpong(Profiler(), board=board, veto=veto)
     assert format_trace(profiled.tracer) == format_trace(plain.tracer)
+    assert profiled.commit_count == plain.commit_count == 6
     assert (dump_chrome_trace(build_spans(profiled.tracer.snapshot()))
             == dump_chrome_trace(build_spans(plain.tracer.snapshot())))
 
@@ -200,8 +235,10 @@ def test_merged_chrome_document_stays_loadable():
 # The diff explainer
 # ---------------------------------------------------------------------------
 
-def _report_doc(pcts, rates, scenario="demo", with_wall=True):
-    phases = {p: {"ns": int(pcts.get(p, 0) * 100),
+def _report_doc(pcts, rates, scenario="demo", with_wall=True, ns=None):
+    """A profile document; phase ``ns`` defaults to a fixed 10 000 ns run."""
+    ns = ns or {}
+    phases = {p: {"ns": ns.get(p, int(pcts.get(p, 0) * 100)),
                   "pct": pcts.get(p, 0.0)} for p in PHASES}
     doc = {"scenario": scenario, "per_commit": rates}
     if with_wall:
@@ -218,6 +255,41 @@ def test_diff_names_the_grown_phase():
     assert len(lines) == 1
     assert "'match' grew 10.0% -> 35.0%" in lines[0]
     assert "candidates_seen/commit 2.0 -> 50.0" in lines[0]
+
+
+def test_diff_prints_phase_time_beside_share():
+    old = _report_doc({"match": 10.0}, {}, ns={"match": 1000})
+    new = _report_doc({"match": 35.0}, {}, ns={"match": 3500})
+    assert "(+25.0 pts, 1000 -> 3500 ns)" in diff_attributions(old, new)[0]
+
+
+def test_diff_ignores_share_growth_without_time_growth():
+    # demo-broadcast --n 200 across the keyed-wakeup change: commit time
+    # held flat at 22.7 -> 22.0 ms while dispatch fell 5x, so commit's
+    # share of a shrunken run grew from 4.98% to 19.12%.
+    old = _report_doc({"dispatch": 60.0, "commit": 4.98, "settle": 23.0},
+                      {"waiters_polled": 500.5},
+                      ns={"dispatch": 273_500_000, "commit": 22_700_000,
+                          "settle": 104_800_000})
+    new = _report_doc({"dispatch": 47.0, "commit": 19.12, "settle": 11.5},
+                      {"waiters_polled": 2.0},
+                      ns={"dispatch": 54_100_000, "commit": 22_000_000,
+                          "settle": 13_200_000})
+    lines = diff_attributions(old, new)
+    assert len(lines) == 1
+    assert "phase 'commit' grew" not in lines[0]
+    assert "no phase share grew" in lines[0]
+    assert "'commit' 4.98% -> 19.12%, 22700000 -> 22000000 ns" in lines[0]
+
+
+def test_diff_skips_a_share_leader_whose_time_fell():
+    # match's share grew most but its time fell; journal grew in both.
+    old = _report_doc({"match": 10.0, "journal": 5.0}, {},
+                      ns={"match": 4000, "journal": 2000})
+    new = _report_doc({"match": 30.0, "journal": 8.0}, {},
+                      ns={"match": 3000, "journal": 2500})
+    assert "phase 'journal' grew 5.0% -> 8.0%" in \
+        diff_attributions(old, new)[0]
 
 
 def test_diff_reports_no_growth():
